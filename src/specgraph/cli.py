@@ -89,7 +89,11 @@ def _pair_list(text):
 def _model_from_flags(args):
     if args.spec is not None:
         with open(args.spec, "r", encoding="utf-8") as fh:
-            return model_from_json(fh.read())
+            text = fh.read()
+        try:
+            return model_from_json(text)
+        except KeyError as exc:
+            raise ValueError(f"model spec {args.spec} lacks key {exc}") from None
     if args.model == "er":
         if args.p is None:
             raise ValueError("--model er needs --p")
@@ -112,7 +116,7 @@ def _cmd_gen(args):
     seed = _resolve_seed(args.seed)
     g, labels = sample(spec, args.n, seed)
     _write_text(args.out, g.format_tsv())
-    if labels is not None and args.out is not None:
+    if args.out is not None:
         write_labels(args.out + ".labels", labels)
     return 0
 
@@ -186,13 +190,17 @@ def _cmd_detect(args):
 def _config_from_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    kwargs = dict(doc)
-    for key in ("n_grid", "d_grid"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
-    if "ab_grid" in kwargs:
-        kwargs["ab_grid"] = tuple((float(a), float(b)) for a, b in kwargs["ab_grid"])
-    return experiments.ExperimentConfig(**kwargs)
+    try:
+        kwargs = dict(doc)
+        for key in ("n_grid", "d_grid"):
+            if key in kwargs:
+                kwargs[key] = tuple(kwargs[key])
+        if "ab_grid" in kwargs:
+            kwargs["ab_grid"] = tuple((float(a), float(b))
+                                      for a, b in kwargs["ab_grid"])
+        return experiments.ExperimentConfig(**kwargs)
+    except TypeError as exc:  # unknown key, or a value of the wrong shape
+        raise ValueError(f"bad sweep config {path}: {exc}") from None
 
 
 def _cmd_sweep(args):
@@ -380,9 +388,6 @@ def main(argv=None):
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: bad JSON: {exc}", file=sys.stderr)
         return 2
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import permutations
-
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
@@ -24,7 +22,10 @@ def sign_partition(v):
 
 
 def misclassification_rate(estimate, truth):
-    """Fraction of disagreements, minimized over community-label permutations."""
+    """Fraction of disagreements, minimized over community-label permutations.
+
+    Labels lie in 1..K; a label below 1 raises ValueError.
+    """
     estimate = np.asarray(estimate, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
     if estimate.shape != truth.shape:
@@ -32,16 +33,13 @@ def misclassification_rate(estimate, truth):
     n = len(truth)
     if n == 0:
         return 0.0
+    if min(estimate.min(), truth.min()) < 1:
+        raise ValueError("labels must lie in 1..K")
     K = int(max(estimate.max(), truth.max()))
     conf = np.zeros((K, K), dtype=np.int64)
     np.add.at(conf, (estimate - 1, truth - 1), 1)
-    if K <= 8:
-        agree = max(sum(conf[p[l], l] for l in range(K))
-                    for p in permutations(range(K)))
-    else:
-        rows, cols = linear_sum_assignment(-conf)
-        agree = int(conf[rows, cols].sum())
-    return float(n - agree) / n
+    rows, cols = linear_sum_assignment(-conf)
+    return float(n - int(conf[rows, cols].sum())) / n
 
 
 def _kmeans_pp_init(X, K, rng):

@@ -10,7 +10,7 @@ thinning, and dense-P models row by row.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -110,13 +110,18 @@ class Graph:
             parts = ln.split("\t")
             if len(parts) != 3:
                 raise ValueError(f"malformed edge line: {ln!r}")
-            a, b, x = int(parts[0]), int(parts[1]), float(parts[2])
-            if x <= 0:
-                raise ValueError(f"edge weight must be positive: {ln!r}")
-            ii.append(a)
-            jj.append(b)
-            ww.append(x)
-        return cls(n, ii, jj, ww)
+            ii.append(int(parts[0]))
+            jj.append(int(parts[1]))
+            ww.append(float(parts[2]))
+        ww = np.asarray(ww, dtype=np.float64)
+        bad = np.flatnonzero(~((ww > 0) & (ww <= 1)))  # nan fails both tests
+        if len(bad):
+            raise ValueError(f"edge weight must lie in (0, 1]: {lines[1 + bad[0]]!r}")
+        g = cls(n, ii, jj, ww)
+        dup = np.flatnonzero((g.i[1:] == g.i[:-1]) & (g.j[1:] == g.j[:-1]))
+        if len(dup):
+            raise ValueError(f"duplicate edge pair ({g.i[dup[0]]}, {g.j[dup[0]]})")
+        return g
 
 
 def write_labels(path, labels):
@@ -353,6 +358,10 @@ class ExpectedMatrix:
             K = self.B.shape[0]
             if self.labels.min() < 1 or self.labels.max() > K:
                 raise ValueError("label out of range for B")
+            # fixed per matrix; matvec runs hundreds of times per solve, and
+            # at n = 1e5 each n-length temporary it allocates costs page faults
+            self._c = self.labels - 1
+            self._diag = self.theta ** 2 * self.B[self._c, self._c]
 
     @classmethod
     def block(cls, labels, B, theta=None):
@@ -370,12 +379,12 @@ class ExpectedMatrix:
         """P @ x without materializing P (block form) or via the dense array."""
         if self._P is not None:
             return self._P @ x
-        c = self.labels - 1
         tx = self.theta * x
-        sums = np.bincount(c, weights=tx, minlength=self.B.shape[0])
-        y = self.theta * (self.B[c] @ sums)
+        sums = np.bincount(self._c, weights=tx, minlength=self.B.shape[0])
+        y = (self.B @ sums)[self._c]
+        y *= self.theta
         # remove the diagonal contribution theta_i^2 * B_cc * x_i
-        y -= self.theta ** 2 * self.B[c, c] * x
+        y -= self._diag * x
         return y
 
     def row_sums(self):
@@ -385,7 +394,7 @@ class ExpectedMatrix:
         """Per-row sums of squared entries, sum_{j != i} P_ij^2."""
         if self._P is not None:
             return (self._P ** 2).sum(axis=1)
-        c = self.labels - 1
+        c = self._c
         t2 = np.bincount(c, weights=self.theta ** 2, minlength=self.B.shape[0])
         y = self.theta ** 2 * ((self.B ** 2)[c] @ t2)
         y -= self.theta ** 4 * self.B[c, c] ** 2

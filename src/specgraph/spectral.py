@@ -9,7 +9,7 @@ scaling.  That covers every matrix this package cares about: A, A - E[A],
 A + (tau/n) 11^T, normalized Laplacians, and differences of Laplacians.
 
 Solvers: power iteration with a two-start agreement certificate for the
-spectral norm, and Lanczos with full reorthogonalization for top-k eigenpairs,
+spectral norm, and ARPACK's implicitly restarted Lanczos for top-k eigenpairs,
 with a dense cyclic-Jacobi oracle for testing (independent of LAPACK).
 """
 
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 _DEFAULT_SEED = 0x5EEDED
 
@@ -100,12 +100,6 @@ class SymmetricOperator:
         if other.n != self.n:
             raise ValueError("operator size mismatch")
         return SymmetricOperator(self.n, self.terms + [t.negated() for t in other.terms])
-
-    def shifted_negation(self, c):
-        """The operator c*I - M, used for smallest-algebraic eigenpairs."""
-        terms = [t.negated() for t in self.terms]
-        terms.append(_Term(1.0, None, None, None, 1.0, 0.0, float(c)))
-        return SymmetricOperator(self.n, terms)
 
     def matvec(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -198,149 +192,82 @@ def spectral_norm(op, tol=1e-7, seed=None, max_iter=None):
         f"(best estimate {max(rs):.12g})", best_estimate=max(rs))
 
 
-def _norm_upper_estimate(op, seed):
-    """Cheap, never-failing overestimate of the spectral radius (for shifting)."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(op.n)
-    x /= np.linalg.norm(x)
-    r = 0.0
-    for _ in range(60):
-        y = op.matvec(x)
-        r = np.linalg.norm(y)
-        if r == 0.0:
-            return 1.0
-        x = y / r
-    return 1.1 * float(r) + 1.0
-
-
 # ---------------------------------------------------------------------------
-# Lanczos
+# ARPACK top-k
 # ---------------------------------------------------------------------------
 
-def _reorthogonalize(w, Q, m):
-    w -= Q[:, :m] @ (Q[:, :m].T @ w)
-    return w
+_WHICH = {"largest-algebraic": "LA", "smallest-algebraic": "SA",
+          "largest-magnitude": "LM"}
 
 
-def _lanczos_extremes(op, k, need_bottom, need_top, tol, seed, max_basis):
-    """Lanczos with full reorthogonalization and random-restart on breakdown.
-
-    Returns (theta, V, m) for the selected extreme Ritz pairs: the k largest,
-    k smallest, or both, depending on the flags.  Convergence requires the
-    residual estimate beta_m * |s_{m,i}| <= tol * max(1, |theta_i|) for every
-    selected pair.  betas[t] links q_t and q_{t+1}; a zero value marks an
-    invariant-subspace boundary where the recurrence was restarted with a
-    fresh random direction.
-    """
-    n = op.n
-    rng = np.random.default_rng(_DEFAULT_SEED if seed is None else seed)
-    max_basis = min(n, max_basis)
-    cap = min(max_basis, 64)
-    Q = np.zeros((n, cap))
-    alphas = np.zeros(max_basis)
-    betas = np.zeros(max_basis)
-    q = rng.standard_normal(n)
-    Q[:, 0] = q / np.linalg.norm(q)
-    m = 0
-    scale_est = 0.0
-    exhausted = False
-    while m < max_basis:
-        w = op.matvec(Q[:, m])
-        alphas[m] = float(Q[:, m] @ w)
-        scale_est = max(scale_est, abs(alphas[m]))
-        w = _reorthogonalize(w, Q, m + 1)
-        w = _reorthogonalize(w, Q, m + 1)
-        beta = float(np.linalg.norm(w))
-        broke = beta <= 1e-12 * max(1.0, scale_est)
-        betas[m] = 0.0 if broke else beta
-        m += 1
-        if m < max_basis:
-            if m == cap:  # grow the basis storage geometrically
-                cap = min(max_basis, 2 * cap)
-                Q = np.concatenate([Q, np.zeros((n, cap - m))], axis=1)
-            if broke:
-                fresh = rng.standard_normal(n)
-                fresh = _reorthogonalize(fresh, Q, m)
-                fresh = _reorthogonalize(fresh, Q, m)
-                nf = float(np.linalg.norm(fresh))
-                if nf <= 1e-8:
-                    exhausted = True  # basis spans the whole space
-                else:
-                    Q[:, m] = fresh / nf
-            else:
-                Q[:, m] = w / beta
-        last = exhausted or m == max_basis
-        if m < k and not last:
-            continue
-        theta, S = sla.eigh_tridiagonal(alphas[:m], betas[:m - 1])
-        scale_est = max(scale_est, float(np.abs(theta).max()))
-        sel = []
-        if need_bottom:
-            sel.extend(range(min(k, m)))
-        if need_top:
-            sel.extend(range(max(0, m - k), m))
-        sel = sorted(set(sel))
-        resid = betas[m - 1] * np.abs(S[m - 1, sel])
-        if np.all(resid <= tol * np.maximum(1.0, np.abs(theta[sel]))):
-            V = Q[:, :m] @ S[:, sel]
-            V /= np.linalg.norm(V, axis=0)
-            return theta[sel], V, m
-        if last:
-            break
-    raise NonConvergenceError(
-        f"Lanczos did not reach residual tolerance {tol} "
-        f"with basis size {m}")
-
-
-_WHICH = ("largest-algebraic", "smallest-algebraic", "largest-magnitude")
+def _ordered(vals, which):
+    """Indices of vals in the order top_eigs reports them for `which`."""
+    if which == "largest-algebraic":
+        return np.argsort(-vals, kind="stable")
+    if which == "smallest-algebraic":
+        return np.argsort(vals, kind="stable")
+    return np.argsort(-np.abs(vals), kind="stable")
 
 
 def top_eigs(op, k, which="largest-algebraic", tol=1e-8, seed=None, max_basis=None):
     """Top-k eigenpairs of a SymmetricOperator.
 
+    Runs ARPACK's implicitly restarted Lanczos (scipy's eigsh) on op.matvec.
+    The seed draws the start vector, and the same generator supplies every
+    vector ARPACK draws on restart, so a seed fixes the result bit for bit.
+    For k >= n - 1, which ARPACK refuses, the operator is densified instead.
+
     Args:
         op: SymmetricOperator.
         k: number of eigenpairs.
         which: "largest-algebraic", "smallest-algebraic", or "largest-magnitude".
-        tol: residual tolerance, ||M v - theta v|| <= tol * max(1, |theta|).
+        tol: residual tolerance, ||M v - theta v|| <= tol * max(1, |theta|),
+            recomputed for every returned pair after the solve.
         seed: start-vector seed; eigenvalues are seed-invariant within tol.
-        max_basis: Krylov basis cap (default min(n, max(8k + 40, 500))).
+        max_basis: Lanczos basis size (ARPACK's ncv), clipped to k < ncv <= n;
+            None leaves ARPACK's default, min(n, max(2k + 1, 20)).
 
     Returns a list of EigenPair sorted per `which` (descending for largest-*,
     ascending for smallest-algebraic).
+
+    Raises NonConvergenceError, carrying the leading estimate when there is
+    one, if ARPACK stops short or a pair misses the residual tolerance.
     """
     if which not in _WHICH:
-        raise ValueError(f"which must be one of {_WHICH}")
+        raise ValueError(f"which must be one of {tuple(_WHICH)}")
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = op.n
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
-    if max_basis is None:
-        max_basis = min(n, max(8 * k + 40, 500))
-    if which == "smallest-algebraic":
-        # run on c*I - M per the shift construction; same eigenvectors,
-        # eigenvalues map theta -> c - theta, largest end <-> smallest end
-        c = _norm_upper_estimate(op, _DEFAULT_SEED if seed is None else seed)
-        theta, V, _ = _lanczos_extremes(op.shifted_negation(c), k,
-                                        need_bottom=False, need_top=True,
-                                        tol=tol, seed=seed, max_basis=max_basis)
-        vals = c - theta
-        order = np.argsort(vals)
-    elif which == "largest-algebraic":
-        theta, V, _ = _lanczos_extremes(op, k, need_bottom=False, need_top=True,
-                                        tol=tol, seed=seed, max_basis=max_basis)
-        vals = theta
-        order = np.argsort(vals)[::-1]
+    rng = np.random.default_rng(_DEFAULT_SEED if seed is None else seed)
+    v0 = rng.standard_normal(n)
+    if k >= n - 1:
+        vals, V = np.linalg.eigh(op.to_dense())
+    elif not np.any(op.matvec(v0)):
+        # the zero operator: ARPACK rejects its zero residual vector
+        vals, V = np.zeros(k), np.eye(n, k)
     else:
-        theta, V, _ = _lanczos_extremes(op, k, need_bottom=True, need_top=True,
-                                        tol=tol, seed=seed, max_basis=max_basis)
-        vals = theta
-        order = np.argsort(np.abs(vals))[::-1][:k]
-    if len(order) < k or V.shape[1] < k:
-        raise NonConvergenceError(
-            f"solver produced {V.shape[1]} pairs, needed {k}")
-    return [EigenPair(float(vals[i]), V[:, i]) for i in order[:k]]
+        ncv = None if max_basis is None else min(n, max(k + 1, int(max_basis)))
+        A = spla.LinearOperator((n, n), matvec=op.matvec, dtype=np.float64)
+        try:
+            vals, V = spla.eigsh(A, k, which=_WHICH[which], v0=v0, ncv=ncv,
+                                 tol=tol, rng=rng)
+        except spla.ArpackNoConvergence as exc:
+            done = np.asarray(exc.eigenvalues, dtype=np.float64)
+            best = float(done[_ordered(done, which)[0]]) if len(done) else None
+            raise NonConvergenceError(
+                f"ARPACK did not converge: {len(done)} of {k} pairs "
+                f"reached tolerance {tol}", best_estimate=best) from exc
+    order = _ordered(vals, which)[:k]
+    pairs = [EigenPair(float(vals[i]), V[:, i]) for i in order]
+    for value, vector in pairs:
+        resid = float(np.linalg.norm(op.matvec(vector) - value * vector))
+        if not resid <= tol * max(1.0, abs(value)):
+            raise NonConvergenceError(
+                f"eigenpair {value:.12g} has residual {resid:.3g} above "
+                f"tolerance {tol}", best_estimate=pairs[0].value)
+    return pairs
 
 
 # ---------------------------------------------------------------------------

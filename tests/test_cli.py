@@ -55,6 +55,14 @@ def test_gen_invalid_probability(capsys):
     assert "error:" in err
 
 
+def test_gen_spec_missing_key(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"model": "pp", "a": 5.0}))  # no "b"
+    code, _, err = run(capsys, "gen", "--spec", str(path), "--n", "10")
+    assert code == 2
+    assert "error:" in err and "'b'" in err
+
+
 def test_gen_missing_n(capsys):
     code, _, err = run(capsys, "gen", "--model", "er", "--p", "0.5")
     assert code == 2
@@ -214,6 +222,15 @@ def test_sweep_config_file(tmp_path, capsys):
     _, from_flags, _ = run(capsys, "sweep", "--n-grid", "100", "--d-grid", "3",
                            "--R", "3", "--seed", "11")
     assert from_file == from_flags
+
+
+def test_sweep_config_unknown_key(tmp_path, capsys):
+    cfg = {"model": "er", "n_grid": [100], "d_grid": [3.0], "replicates": 3}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "sweep", "--config", str(path))
+    assert code == 2 and out == ""
+    assert "error:" in err and "replicates" in err
 
 
 def test_sweep_bad_grid(capsys):

@@ -50,9 +50,16 @@ def test_misclassification_validation_and_empty():
     assert misclassification_rate(np.array([], dtype=int), np.array([], dtype=int)) == 0.0
 
 
+def test_misclassification_rejects_zero_based_labels():
+    # labels are 1-based; a 0 must not wrap around to the last community
+    with pytest.raises(ValueError):
+        misclassification_rate(np.array([0, 1, 1]), np.array([1, 2, 2]))
+    with pytest.raises(ValueError):
+        misclassification_rate(np.array([1, 2, 2]), np.array([0, 1, 1]))
+
+
 def test_misclassification_many_communities_assignment_path():
-    # K = 9 exercises the assignment solver instead of brute permutations;
-    # a cyclic relabeling must still score as perfect
+    # with K = 9 communities a cyclic relabeling must still score as perfect
     truth = np.tile(np.arange(1, 10), 4)
     est = (truth % 9) + 1
     assert misclassification_rate(est, truth) == 0.0

@@ -339,6 +339,18 @@ def test_tsv_parse_errors():
         Graph.parse_tsv("# n=3\n0\t1\t0\n")  # nonpositive weight
 
 
+@pytest.mark.parametrize("body", [
+    "0\t1\tnan\n",              # nan weight would give nan degrees
+    "0\t1\tinf\n",
+    "0\t1\t-inf\n",
+    "0\t1\t1.5\n",              # weight above 1
+    "0\t1\t1\n1\t2\t1\n0\t1\t0.5\n",  # duplicate pair
+])
+def test_tsv_parse_rejects_bad_weights_and_duplicates(body):
+    with pytest.raises(ValueError):
+        Graph.parse_tsv("# n=3\n" + body)
+
+
 def test_labels_round_trip(tmp_path):
     labels = np.array([1, 2, 2, 1, 3])
     path = tmp_path / "labels.txt"
