@@ -129,10 +129,14 @@ def _grid_points(config):
     return pts
 
 
+def _replicate_seeds(config, gi, r):
+    """(sampling seed, solver seed) of replicate r at grid point gi."""
+    return [config.seed, gi, r, 0], [config.seed, gi, r, 1]
+
+
 def _concentration_replicate(point, config, gi, r):
     """One sampled graph -> (deviation norm, tau used) or (nan, nan) on failure."""
-    sample_seed = [config.seed, gi, r, 0]
-    solver_seed = [config.seed, gi, r, 1]
+    sample_seed, solver_seed = _replicate_seeds(config, gi, r)
     g, labels = sample(point["spec"], point["n"], sample_seed)
     E = expected_matrix(point["spec"], labels)
     tau = math.nan
@@ -190,6 +194,19 @@ def _mean_stderr(values):
     return mean, stderr, len(ok)
 
 
+def _er_bounds(n, d):
+    """The closed-form bounds on ||A - EA|| for edge probability d/n (C = 1)."""
+    vals = {
+        "bai-yin": bounds_mod.bai_yin_limit(d),
+        "bernstein": bounds_mod.bernstein_expectation(math.sqrt(d), 1.0, n),
+        "bvh": bounds_mod.bvh_er(n, d / n),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        vals["benaych"] = bounds_mod.benaych_bound(d, n)
+    return vals
+
+
 def _applicable_bounds(point, config, tau_mean):
     """name -> bound value with all hidden constants at 1 (r = 1)."""
     n, d = point["n"], point["d"]
@@ -198,12 +215,7 @@ def _applicable_bounds(point, config, tau_mean):
         if isinstance(tau_mean, float) and tau_mean > 0:
             vals["thm54"] = bounds_mod.regularized_laplacian_bound(1.0, tau_mean, d)
         return vals
-    vals["bai-yin"] = bounds_mod.bai_yin_limit(d)
-    vals["bernstein"] = bounds_mod.bernstein_expectation(math.sqrt(d), 1.0, n)
-    vals["bvh"] = bounds_mod.bvh_er(n, d / n)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        vals["benaych"] = bounds_mod.benaych_bound(d, n)
+    vals.update(_er_bounds(n, d))
     if config.regularization == "degree-cap":
         vals["thm51"] = bounds_mod.regularized_concentration_bound(1.0, d)
     return vals
@@ -317,9 +329,18 @@ def eigenvector_study(n=50, a=5.0, b=0.1, rho=0.1, seed=0):
 PHASE_METHODS = ("reg-adjacency", "reg-laplacian")
 
 
+@dataclass(frozen=True)
+class _PhaseConfig:
+    """What a phase replicate reads; the (a, b) grid lives in the points."""
+
+    R: int
+    tau_rho: float
+    cap_multiplier: float
+    seed: int
+
+
 def _phase_replicate(point, config, gi, r):
-    sample_seed = [config.seed, gi, r, 0]
-    solver_seed = [config.seed, gi, r, 1]
+    sample_seed, solver_seed = _replicate_seeds(config, gi, r)
     method = point["method"]
     g, labels = sample(point["spec"], point["n"], sample_seed)
     try:
@@ -357,9 +378,10 @@ def phase_sweep(d, snr_grid, n=4000, R=50, method="both", tau_rho=0.25,
         raise ValueError(f"method must be 'both' or one of {PHASE_METHODS}")
     if d <= 0:
         raise ValueError("d must be positive")
-    config = ExperimentConfig(model="pp", n_grid=(n,), ab_grid=((d, d),), R=R,
-                              tau_rho=tau_rho, cap_multiplier=cap_multiplier,
-                              seed=seed)
+    if R < 1:
+        raise ValueError("R must be at least 1")
+    config = _PhaseConfig(R=R, tau_rho=tau_rho, cap_multiplier=cap_multiplier,
+                          seed=seed)
     points = []
     infeasible = []
     for s in snr_grid:
@@ -399,8 +421,7 @@ def phase_sweep(d, snr_grid, n=4000, R=50, method="both", tau_rho=0.25,
 # ---------------------------------------------------------------------------
 
 def _scorecard_replicate(point, config, gi, r):
-    sample_seed = [config.seed, gi, r, 0]
-    solver_seed = [config.seed, gi, r, 1]
+    sample_seed, solver_seed = _replicate_seeds(config, gi, r)
     g, labels = sample(point["spec"], point["n"], sample_seed)
     E = expected_matrix(point["spec"], labels)
     op = SymmetricOperator.centered(g, E)
@@ -436,16 +457,7 @@ def bound_scorecard(n_grid, d_grid, R=20, seed=0, threads=None):
                             stderr=seg_stderr, R=used))
         if mean == "":
             continue
-        n, dd = point["n"], point["d"]
-        vals = {
-            "bai-yin": bounds_mod.bai_yin_limit(dd),
-            "bernstein": bounds_mod.bernstein_expectation(math.sqrt(dd), 1.0, n),
-            "bvh": bounds_mod.bvh_er(n, dd / n),
-        }
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            vals["benaych"] = bounds_mod.benaych_bound(dd, n)
-        for name, bound in vals.items():
+        for name, bound in _er_bounds(point["n"], point["d"]).items():
             records.append(dict(base, statistic=f"bound_{name}", mean=bound,
                                 stderr="", R=""))
             if isinstance(bound, float) and math.isfinite(bound) and bound > 0:

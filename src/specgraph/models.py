@@ -31,20 +31,25 @@ class Graph:
     """
 
     def __init__(self, n, i, j, w):
-        i = np.asarray(i, dtype=np.int64)
-        j = np.asarray(j, dtype=np.int64)
-        w = np.asarray(w, dtype=np.float64)
+        i = np.array(i, dtype=np.int64)
+        j = np.array(j, dtype=np.int64)
+        w = np.array(w, dtype=np.float64)
         if not (len(i) == len(j) == len(w)):
             raise ValueError("edge arrays must have equal length")
         if len(i) and (i.min() < 0 or j.max() >= n):
             raise ValueError("edge endpoint out of range")
         if np.any(i >= j):
             raise ValueError("edges must satisfy i < j (no self-loops)")
-        order = np.lexsort((j, i))
+        # ER sampling and regularized copies arrive sorted already; the O(m)
+        # check costs far less than the lexsort it skips
+        ascending = (i[1:] > i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] > j[:-1]))
+        if not ascending.all():
+            order = np.lexsort((j, i))
+            i, j, w = i[order], j[order], w[order]
         self.n = int(n)
-        self.i = i[order]
-        self.j = j[order]
-        self.w = w[order]
+        self.i = i
+        self.j = j
+        self.w = w
         self._csr = None
 
     @property
@@ -358,8 +363,8 @@ class ExpectedMatrix:
             K = self.B.shape[0]
             if self.labels.min() < 1 or self.labels.max() > K:
                 raise ValueError("label out of range for B")
-            # fixed per matrix; matvec runs hundreds of times per solve, and
-            # at n = 1e5 each n-length temporary it allocates costs page faults
+            # fixed per matrix: 0-based labels and the diagonal theta^2 B_cc
+            # that P leaves out; matvec and SymmetricOperator's fold read them
             self._c = self.labels - 1
             self._diag = self.theta ** 2 * self.B[self._c, self._c]
 
@@ -460,8 +465,12 @@ def expected_matrix(spec, labels):
         X = np.asarray(spec.positions)
         if len(X) != n:
             raise ValueError("LSM position count must equal len(labels)")
-        diff = X[:, None, :] - X[None, :, :]
-        P = spec.kernel_fn()(np.sqrt((diff ** 2).sum(axis=-1)))
+        # one coordinate at a time: the n x n x dim difference tensor would
+        # take dim times the memory of P itself
+        sq = np.zeros((n, n))
+        for col in X.T:
+            sq += np.square(np.subtract.outer(col, col))
+        P = spec.kernel_fn()(np.sqrt(sq, out=sq))
         if P.min() < 0 or P.max() > 1:
             raise ValueError("kernel values must lie in [0, 1]")
         return ExpectedMatrix.from_dense(P)

@@ -7,6 +7,9 @@ The central object is a SymmetricOperator: a sum of terms, each of the form
 with S sparse, P a structured ExpectedMatrix, and D_s an optional diagonal
 scaling.  That covers every matrix this package cares about: A, A - E[A],
 A + (tau/n) 11^T, normalized Laplacians, and differences of Laplacians.
+On its first matvec the operator folds its terms into one prescaled CSR, a
+few low-rank corrections and one diagonal, so an eigensolve does not rebuild
+the terms on each of its hundreds of matvecs.
 
 Solvers: power iteration with a two-start agreement certificate for the
 spectral norm, and ARPACK's implicitly restarted Lanczos for top-k eigenpairs,
@@ -53,12 +56,33 @@ class _Term:
                      self.expected_coef, self.rank_one, self.eye)
 
 
+def _scaled_csr(S, sign, s):
+    """sign * D_s S D_s as a CSR sharing S's index arrays (S itself if D_s = I
+    and sign = 1)."""
+    if s is None:
+        return S if sign == 1.0 else sp.csr_matrix(
+            (sign * S.data, S.indices, S.indptr), shape=S.shape)
+    # s_row * s_col first keeps the result exactly symmetric
+    data = np.repeat(s, np.diff(S.indptr))
+    data *= s[S.indices]
+    data *= S.data
+    if sign != 1.0:
+        data *= sign
+    return sp.csr_matrix((data, S.indices, S.indptr), shape=S.shape)
+
+
 class SymmetricOperator:
-    """Symmetric n x n linear operator represented as a sum of structured terms."""
+    """Symmetric n x n linear operator represented as a sum of structured terms.
+
+    `terms` describe the operator and are what to_dense reads.  The first
+    matvec folds them into a cached form (see _fold), so they must not change
+    afterwards; a concurrent first call folds twice to the same result.
+    """
 
     def __init__(self, n, terms):
         self.n = int(n)
         self.terms = list(terms)
+        self._folded = None
 
     @property
     def shape(self):
@@ -101,23 +125,83 @@ class SymmetricOperator:
             raise ValueError("operator size mismatch")
         return SymmetricOperator(self.n, self.terms + [t.negated() for t in other.terms])
 
+    def _fold(self):
+        """(csr, diag, lowrank, dense): the terms summed into one CSR, one
+        diagonal (a vector or a scalar), low-rank parts (u, c, B) and dense
+        ExpectedMatrix parts.
+
+        A low-rank part adds u * (B @ bincount(c, u * x))[c] for a block
+        expectation (c its 0-based labels) or u * (B * sum(u * x)) for a
+        scalar B when c is None; u is None for the all-ones vector.
+        """
+        n = self.n
+        csr = None
+        diag = np.zeros(n)
+        lowrank, dense = [], []
+        for t in self.terms:
+            s = t.scale
+            s2 = 1.0 if s is None else s * s
+            if t.sparse is not None:
+                part = _scaled_csr(t.sparse, t.sign, s)
+                csr = part if csr is None else csr + part
+            gamma = t.sign * t.rank_one
+            E = t.expected
+            if E is not None and E.is_block:
+                coef = t.sign * t.expected_coef
+                c = E._c
+                B = coef * E.B
+                # P has a zero diagonal: remove theta_i^2 B_cc from the block
+                diag -= coef * E._diag * s2
+                if np.all(E.theta == 1.0):
+                    # u = s, and gamma * 11^T is gamma on every block of B
+                    u, B, gamma = s, B + gamma, 0.0
+                else:
+                    u = E.theta if s is None else s * E.theta
+                if B.shape == (1, 1):
+                    lowrank.append((u, None, float(B[0, 0])))
+                else:
+                    lowrank.append((u, c, B))
+            elif E is not None:
+                dense.append((s, t.sign * t.expected_coef, E))
+            if gamma != 0.0:
+                lowrank.append((s, None, gamma))
+            if t.eye != 0.0:
+                diag += t.sign * t.eye * s2
+        if not np.any(diag):
+            diag = None
+        elif np.all(diag == diag[0]):
+            diag = float(diag[0])  # x * scalar streams one array less
+        self._folded = (csr, diag, lowrank, dense)
+        return self._folded
+
     def matvec(self, x):
         x = np.asarray(x, dtype=np.float64)
-        y = np.zeros(self.n)
-        for t in self.terms:
-            z = t.scale * x if t.scale is not None else x
-            acc = np.zeros(self.n)
-            if t.sparse is not None:
-                acc += t.sparse @ z
-            if t.expected is not None:
-                acc += t.expected_coef * t.expected.matvec(z)
-            if t.rank_one != 0.0:
-                acc += t.rank_one * z.sum()
-            if t.eye != 0.0:
-                acc += t.eye * z
-            if t.scale is not None:
-                acc *= t.scale
-            y += t.sign * acc
+        csr, diag, lowrank, dense = self._folded or self._fold()
+        y = csr @ x if csr is not None else np.zeros(self.n)
+        # one scratch vector per call; no BLAS on n-vectors, whose threads
+        # would compete with ARPACK's (einsum runs numpy's own loop)
+        tmp = np.empty(self.n)
+        if diag is not None:
+            y += np.multiply(x, diag, out=tmp)
+        for u, c, B in lowrank:
+            if c is None:
+                if u is None:
+                    y += B * x.sum()
+                else:
+                    y += np.multiply(u, B * np.einsum("i,i->", u, x), out=tmp)
+            else:
+                ux = x if u is None else np.multiply(u, x, out=tmp)
+                sums = np.bincount(c, weights=ux, minlength=len(B))
+                np.take(B @ sums, c, out=tmp)
+                if u is not None:
+                    tmp *= u
+                y += tmp
+        for s, coef, E in dense:
+            z = E.matvec(x if s is None else s * x)
+            z *= coef
+            if s is not None:
+                z *= s
+            y += z
         return y
 
     def to_dense(self, limit=4096):

@@ -233,6 +233,11 @@ def test_phase_sweep_validation():
         phase_sweep(0.0, (1.0,))
 
 
+def test_phase_sweep_rejects_zero_replicates():
+    with pytest.raises(ValueError, match="R must be at least 1"):
+        phase_sweep(4.0, (1.0,), R=0)
+
+
 # ---------------------------------------------------------------------------
 # bound scorecard
 # ---------------------------------------------------------------------------

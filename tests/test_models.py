@@ -309,6 +309,48 @@ def test_graph_validation():
         sample(ER(0.5), 0, 1)
 
 
+def test_graph_sorts_unsorted_edges():
+    g = Graph(5, [3, 0, 1, 0, 1], [4, 2, 3, 1, 2], [0.1, 0.2, 0.3, 0.4, 0.5])
+    assert g.i.tolist() == [0, 0, 1, 1, 3]
+    assert g.j.tolist() == [1, 2, 2, 3, 4]
+    assert g.w.tolist() == [0.4, 0.2, 0.5, 0.3, 0.1]
+
+
+def test_graph_sorted_input_gives_equal_graph_and_owns_its_arrays():
+    g, _ = sample(PlantedPartition(6.0, 1.0), 80, 3)
+    rng = np.random.default_rng(0)
+    perm = rng.permutation(g.m)
+    shuffled = Graph(g.n, g.i[perm], g.j[perm], g.w[perm])
+    i, j, w = g.i.copy(), g.j.copy(), g.w.copy()
+    same = Graph(g.n, i, j, w)
+    assert shuffled == g
+    assert same == g
+    i[0], w[0] = 79, 0.5  # the caller's arrays stay the caller's
+    assert same == g
+
+
+def _lsm_reference(X):
+    """P from the full n x n x dim difference tensor."""
+    X = np.asarray(X, dtype=np.float64)
+    diff = X[:, None, :] - X[None, :, :]
+    P = np.exp(-np.sqrt((diff ** 2).sum(axis=-1)))
+    np.fill_diagonal(P, 0.0)
+    return P
+
+
+@pytest.mark.parametrize("X", [
+    np.random.default_rng(7).uniform(-1, 1, size=(8, 2)),
+    ((0.0, 0.0), (1.0, 0.0), (3.0, 0.0), (7.0, 0.0)),
+    ((0.0, 1.0), (2.0, 0.0)),
+    np.random.default_rng(0).uniform(0, 3, size=(200, 2)),
+    np.random.default_rng(1).uniform(-2, 2, size=(30, 5)),
+])
+def test_lsm_expected_matrix_unchanged(X):
+    spec = LSM(tuple(map(tuple, np.asarray(X))))
+    P = expected_matrix(spec, np.ones(len(spec.positions), dtype=np.int64)).to_dense()
+    assert np.array_equal(P, _lsm_reference(X))
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -385,4 +427,23 @@ def test_model_json_unknown_kind():
 @given(st.integers(2, 12), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.0))
 def test_tsv_round_trip_property(n, seed, p):
     g, _ = sample(ER(p), n, seed)
+    assert Graph.parse_tsv(g.format_tsv()) == g
+
+
+@st.composite
+def weighted_graphs(draw):
+    n = draw(st.integers(2, 12))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    weights = draw(st.lists(
+        st.floats(0.0, 1.0, exclude_min=True, allow_nan=False),
+        min_size=len(edges), max_size=len(edges)))
+    ii = [a for a, _ in edges]
+    jj = [b for _, b in edges]
+    return Graph(n, ii, jj, weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_graphs())
+def test_tsv_round_trip_arbitrary_weights_property(g):
     assert Graph.parse_tsv(g.format_tsv()) == g

@@ -4,8 +4,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specgraph.experiments import eigenvector_study
-from specgraph.models import ER, ExpectedMatrix, PlantedPartition, expected_matrix, planted_labels, sample
-from specgraph.regularize import laplacian
+from specgraph.models import (
+    DCSBM,
+    ER,
+    IERM,
+    SBM,
+    ExpectedMatrix,
+    PlantedPartition,
+    expected_matrix,
+    planted_labels,
+    sample,
+)
+from specgraph.regularize import (
+    expected_regularized_laplacian,
+    laplacian,
+    regularized_laplacian,
+    tau_regularize,
+)
 from specgraph.spectral import (
     EigenPair,
     NonConvergenceError,
@@ -80,6 +95,112 @@ def test_centered_operator_is_a_minus_ea():
     op = SymmetricOperator.centered(g, E)
     ref = g.adjacency().toarray() - E.to_dense()
     assert np.allclose(op.to_dense(), ref, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the folded matvec against dense oracles built without SymmetricOperator
+# ---------------------------------------------------------------------------
+
+FOLD_N = 60
+
+
+def _ierm(n, seed):
+    P = np.random.default_rng(seed).uniform(0, 0.3, size=(n, n))
+    P = 0.5 * (P + P.T)
+    np.fill_diagonal(P, 0.0)
+    return IERM(tuple(map(tuple, P)))
+
+
+FOLD_MODELS = {
+    "er": ER(0.1),
+    "pp": PlantedPartition(8.0, 2.0),
+    "sbm3": SBM((0.2, 0.3, 0.5),
+                ((0.3, 0.05, 0.1), (0.05, 0.2, 0.02), (0.1, 0.02, 0.25))),
+    "dcsbm": DCSBM((0.4, 0.6), ((0.3, 0.05), (0.05, 0.2)),
+                   tuple(np.linspace(0.5, 1.5, FOLD_N))),
+    "ierm": _ierm(FOLD_N, 9),
+}
+
+
+def _dense_laplacian(M, tau):
+    """diag(s) (M + tau/n 11^T) diag(s) with s = (row sums of M + tau)^{-1/2}."""
+    n = len(M)
+    s = np.diag(1.0 / np.sqrt(M.sum(axis=1) + tau))
+    return s @ (M + tau / n) @ s
+
+
+def _assert_matvec_matches(op, M, seed=0):
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        x = rng.standard_normal(op.n)
+        ref = M @ x
+        assert np.linalg.norm(op.matvec(x) - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_MODELS))
+def test_folded_laplacian_deviation_matches_dense_oracle(name):
+    spec = FOLD_MODELS[name]
+    g, labels = sample(spec, FOLD_N, 3)
+    E = expected_matrix(spec, labels)
+    tau = 0.25 * float(g.degrees().mean())
+    op = regularized_laplacian(g, tau) - expected_regularized_laplacian(E, tau)
+    M = (_dense_laplacian(g.adjacency().toarray(), tau)
+         - _dense_laplacian(E.to_dense(), tau))
+    _assert_matvec_matches(op, M)
+
+
+def test_folded_difference_of_two_sparse_laplacians():
+    g1, _ = sample(ER(0.08), FOLD_N, 1)
+    g2, _ = sample(PlantedPartition(6.0, 1.0), FOLD_N, 2)
+
+    def dense_plain(g):
+        A = g.adjacency().toarray()
+        deg = A.sum(axis=1)
+        s = np.diag(np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0))
+        return s @ A @ s
+
+    _assert_matvec_matches(laplacian(g1) - laplacian(g2),
+                           dense_plain(g1) - dense_plain(g2))
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.5])
+def test_folded_tau_regularize(tau):
+    g, _ = sample(ER(0.1), FOLD_N, 4)
+    M = g.adjacency().toarray() + tau / FOLD_N
+    _assert_matvec_matches(tau_regularize(g, tau), M)
+
+
+def test_folded_centered_dcsbm():
+    spec = FOLD_MODELS["dcsbm"]
+    g, labels = sample(spec, FOLD_N, 5)
+    E = expected_matrix(spec, labels)
+    _assert_matvec_matches(SymmetricOperator.centered(g, E),
+                           g.adjacency().toarray() - E.to_dense())
+
+
+@pytest.mark.parametrize("name", ["er", "dcsbm", "ierm"])
+def test_matvec_repeatable_and_leaves_input(name):
+    spec = FOLD_MODELS[name]
+    g, labels = sample(spec, FOLD_N, 6)
+    E = expected_matrix(spec, labels)
+    op = regularized_laplacian(g, 1.0) - expected_regularized_laplacian(E, 1.0)
+    x = np.random.default_rng(7).standard_normal(FOLD_N)
+    before = x.copy()
+    first = op.matvec(x)
+    second = op.matvec(x)
+    assert first.tobytes() == second.tobytes()
+    assert x.tobytes() == before.tobytes()
+
+
+def test_fold_shares_adjacency_indices():
+    g, _ = sample(ER(0.1), FOLD_N, 8)
+    op = regularized_laplacian(g, 1.0)
+    op.matvec(np.ones(FOLD_N))
+    csr = op._folded[0]
+    A = g.adjacency()
+    assert np.shares_memory(csr.indices, A.indices)
+    assert np.shares_memory(csr.indptr, A.indptr)
+    assert not np.shares_memory(csr.data, A.data)
 
 
 # ---------------------------------------------------------------------------
