@@ -338,6 +338,10 @@ class _PhaseConfig:
     cap_multiplier: float
     seed: int
 
+    def __post_init__(self):
+        if self.R < 1:
+            raise ValueError("R must be at least 1")
+
 
 def _phase_replicate(point, config, gi, r):
     sample_seed, solver_seed = _replicate_seeds(config, gi, r)
@@ -378,8 +382,6 @@ def phase_sweep(d, snr_grid, n=4000, R=50, method="both", tau_rho=0.25,
         raise ValueError(f"method must be 'both' or one of {PHASE_METHODS}")
     if d <= 0:
         raise ValueError("d must be positive")
-    if R < 1:
-        raise ValueError("R must be at least 1")
     config = _PhaseConfig(R=R, tau_rho=tau_rho, cap_multiplier=cap_multiplier,
                           seed=seed)
     points = []
@@ -413,7 +415,7 @@ def phase_sweep(d, snr_grid, n=4000, R=50, method="both", tau_rho=0.25,
                        | {"statistic": "infeasible", "mean": "", "stderr": "",
                           "R": 0, "seed": seed})
     records.sort(key=lambda rec: (rec["snr"], rec["method"]))
-    return ExperimentResult(records, config)
+    return ExperimentResult(records)
 
 
 # ---------------------------------------------------------------------------

@@ -364,7 +364,7 @@ class ExpectedMatrix:
             if self.labels.min() < 1 or self.labels.max() > K:
                 raise ValueError("label out of range for B")
             # fixed per matrix: 0-based labels and the diagonal theta^2 B_cc
-            # that P leaves out; matvec and SymmetricOperator's fold read them
+            # that P leaves out (see block_factors)
             self._c = self.labels - 1
             self._diag = self.theta ** 2 * self.B[self._c, self._c]
 
@@ -380,16 +380,27 @@ class ExpectedMatrix:
     def is_block(self):
         return self._P is None
 
+    def block_factors(self):
+        """(theta, c, B, diag) of the block form, with c the 0-based labels:
+
+            P = diag(theta) B[c][:, c] diag(theta) - diag(diag),
+
+        where diag = theta^2 B_cc is the diagonal the low-rank part carries and
+        P leaves out.  Raises ValueError for the dense form.
+        """
+        if self._P is not None:
+            raise ValueError("a dense ExpectedMatrix has no block factors")
+        return self.theta, self._c, self.B, self._diag
+
     def matvec(self, x):
         """P @ x without materializing P (block form) or via the dense array."""
         if self._P is not None:
             return self._P @ x
-        tx = self.theta * x
-        sums = np.bincount(self._c, weights=tx, minlength=self.B.shape[0])
-        y = (self.B @ sums)[self._c]
-        y *= self.theta
-        # remove the diagonal contribution theta_i^2 * B_cc * x_i
-        y -= self._diag * x
+        theta, c, B, diag = self.block_factors()
+        sums = np.bincount(c, weights=theta * x, minlength=len(B))
+        y = (B @ sums)[c]
+        y *= theta
+        y -= diag * x
         return y
 
     def row_sums(self):

@@ -127,12 +127,12 @@ class SymmetricOperator:
 
     def _fold(self):
         """(csr, diag, lowrank, dense): the terms summed into one CSR, one
-        diagonal (a vector or a scalar), low-rank parts (u, c, B) and dense
-        ExpectedMatrix parts.
+        diagonal vector, low-rank parts (u, c, B) and dense ExpectedMatrix
+        parts.
 
         A low-rank part adds u * (B @ bincount(c, u * x))[c] for a block
-        expectation (c its 0-based labels) or u * (B * sum(u * x)) for a
-        scalar B when c is None; u is None for the all-ones vector.
+        expectation (see ExpectedMatrix.block_factors) or u * (B * sum(u * x))
+        for a scalar B when c is None; u is None for the all-ones vector.
         """
         n = self.n
         csr = None
@@ -144,33 +144,26 @@ class SymmetricOperator:
             if t.sparse is not None:
                 part = _scaled_csr(t.sparse, t.sign, s)
                 csr = part if csr is None else csr + part
-            gamma = t.sign * t.rank_one
             E = t.expected
             if E is not None and E.is_block:
                 coef = t.sign * t.expected_coef
-                c = E._c
-                B = coef * E.B
-                # P has a zero diagonal: remove theta_i^2 B_cc from the block
-                diag -= coef * E._diag * s2
-                if np.all(E.theta == 1.0):
-                    # u = s, and gamma * 11^T is gamma on every block of B
-                    u, B, gamma = s, B + gamma, 0.0
-                else:
-                    u = E.theta if s is None else s * E.theta
+                theta, c, B, Ediag = E.block_factors()
+                diag -= coef * Ediag * s2
+                # unit theta keeps u = None on the unscaled A - E[A] operators
+                u = s if np.all(theta == 1.0) else (
+                    theta if s is None else s * theta)
                 if B.shape == (1, 1):
-                    lowrank.append((u, None, float(B[0, 0])))
+                    lowrank.append((u, None, coef * float(B[0, 0])))
                 else:
-                    lowrank.append((u, c, B))
+                    lowrank.append((u, c, coef * B))
             elif E is not None:
                 dense.append((s, t.sign * t.expected_coef, E))
-            if gamma != 0.0:
-                lowrank.append((s, None, gamma))
+            if t.rank_one != 0.0:
+                lowrank.append((s, None, t.sign * t.rank_one))
             if t.eye != 0.0:
                 diag += t.sign * t.eye * s2
         if not np.any(diag):
             diag = None
-        elif np.all(diag == diag[0]):
-            diag = float(diag[0])  # x * scalar streams one array less
         self._folded = (csr, diag, lowrank, dense)
         return self._folded
 

@@ -225,6 +225,21 @@ def test_block_matvec_matches_dense():
     assert np.allclose(E.entries(ii, jj), P[ii, jj], atol=1e-14)
 
 
+def test_block_factors_rebuild_p():
+    rng = np.random.default_rng(6)
+    n = 20
+    labels = rng.integers(1, 4, size=n)
+    B = rng.uniform(0, 1, size=(3, 3))
+    B = 0.5 * (B + B.T)
+    E = ExpectedMatrix.block(labels, B, rng.uniform(0.3, 1.0, size=n))
+    theta, c, BB, diag = E.block_factors()
+    assert np.array_equal(c, labels - 1)
+    P = theta[:, None] * BB[c][:, c] * theta[None, :] - np.diag(diag)
+    assert np.allclose(P, E.to_dense(), atol=1e-15)
+    with pytest.raises(ValueError, match="no block factors"):
+        ExpectedMatrix.from_dense(E.to_dense()).block_factors()
+
+
 def test_max_expected_degree_conventions():
     rowmax, entrymax = max_expected_degree(ER(0.2), 10)
     assert rowmax == pytest.approx(9 * 0.2)
