@@ -121,13 +121,8 @@ def _cmd_gen(args):
     return 0
 
 
-def _load_graph(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return Graph.parse_tsv(fh.read())
-
-
 def _cmd_reg(args):
-    g = _load_graph(args.infile)
+    g = Graph.from_tsv(args.infile)
     deg = g.degrees()
     dbar = float(deg.mean()) if g.n else 0.0
     report = {"mode": args.mode, "n": g.n, "edges_in": g.m}
@@ -160,7 +155,7 @@ def _cmd_reg(args):
 
 
 def _cmd_detect(args):
-    g = _load_graph(args.infile)
+    g = Graph.from_tsv(args.infile)
     seed = _resolve_seed(args.seed)
     method = args.method.lower()
     if method not in MODES:

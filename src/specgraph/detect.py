@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
+from scipy.cluster.vq import kmeans2, vq
 from scipy.optimize import linear_sum_assignment
 
 from .spectral import top_eigs
@@ -13,6 +16,10 @@ MODES = (
     "laplacian-second-largest",
     "top-k-embedding",
 )
+
+_RESTARTS = 20
+# kmeans2 never checks convergence; the cli-pipeline embeddings converge within 20 steps
+_LLOYD_STEPS = 30
 
 
 def sign_partition(v):
@@ -42,54 +49,31 @@ def misclassification_rate(estimate, truth):
     return float(n - int(conf[rows, cols].sum())) / n
 
 
-def _kmeans_pp_init(X, K, rng):
-    n = len(X)
-    idx = int(rng.integers(n))
-    centers = [X[idx]]
-    d2 = ((X - centers[0]) ** 2).sum(axis=1)
-    for _ in range(K - 1):
-        total = d2.sum()
-        if total <= 0:
-            idx = int(rng.integers(n))
-        else:
-            # distance-squared-weighted draw, the kmeans++ rule
-            u = rng.random() * total
-            idx = int(np.searchsorted(np.cumsum(d2), u))
-            idx = min(idx, n - 1)
-        centers.append(X[idx])
-        d2 = np.minimum(d2, ((X - X[idx]) ** 2).sum(axis=1))
-    return np.array(centers)
+def kmeans(X, K, seed=None):
+    """Lowest-inertia of _RESTARTS k-means++ runs on scipy's kmeans2; labels in {1..K}.
 
-
-def kmeans(X, K, seed=None, restarts=20, max_iter=200):
-    """Plain Lloyd iteration with kmeans++ starts; labels in {1..K}."""
+    k-means++ seeding: Arthur & Vassilvitskii, SODA 2007.  All restarts draw
+    from one generator, so the labels are fixed by the seed.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or len(X) < K:
         raise ValueError("need at least K rows to cluster")
     rng = np.random.default_rng(seed)
-    n = len(X)
     best_assign = None
     best_inertia = np.inf
-    for _ in range(restarts):
-        C = _kmeans_pp_init(X, K, rng)
-        assign = np.zeros(n, dtype=np.int64)
-        for _ in range(max_iter):
-            D = ((X[:, None, :] - C[None, :, :]) ** 2).sum(axis=-1)
-            new_assign = D.argmin(axis=1)
-            for k in range(K):
-                members = X[new_assign == k]
-                if len(members):
-                    C[k] = members.mean(axis=0)
-            if np.array_equal(new_assign, assign):
-                break
-            assign = new_assign
-        D = ((X[:, None, :] - C[None, :, :]) ** 2).sum(axis=-1)
-        assign = D.argmin(axis=1)
-        inertia = float(D[np.arange(n), assign].sum())
-        if inertia < best_inertia - 1e-15:
-            best_inertia = inertia
-            best_assign = assign
-    return best_assign + 1
+    with warnings.catch_warnings():
+        # fewer than K distinct rows: the k-means++ draw divides 0 by 0 and a
+        # cluster can stay empty, which keeps its last centre (missing="warn")
+        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.filterwarnings("ignore", "One of the clusters is empty")
+        for _ in range(_RESTARTS):
+            C, _ = kmeans2(X, K, iter=_LLOYD_STEPS, minit="++", missing="warn", rng=rng)
+            assign, dist = vq(X, C)
+            inertia = float(dist @ dist)
+            if inertia < best_inertia - 1e-15:
+                best_inertia = inertia
+                best_assign = assign
+    return best_assign.astype(np.int64) + 1
 
 
 def spectral_cluster(op, K=2, mode="laplacian-second-largest", seed=None, tol=1e-8):
@@ -97,7 +81,7 @@ def spectral_cluster(op, K=2, mode="laplacian-second-largest", seed=None, tol=1e
 
     The sign modes (K=2) read off one eigenvector: the second-smallest or
     second-largest of an adjacency-type operator, or the second-largest of a
-    Laplacian-type operator.  top-k-embedding runs kmeans++ on the rows of the
+    Laplacian-type operator.  top-k-embedding runs k-means on the rows of the
     n x K matrix of leading eigenvectors.
     """
     if mode not in MODES:

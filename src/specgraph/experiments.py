@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .detect import misclassification_rate, sign_partition
-from .models import ER, PlantedPartition, expected_matrix, max_expected_degree, sample
+from .models import ER, PlantedPartition, expected_matrix, sample
 from .regularize import (
     choose_tau,
     degree_regularize,
@@ -101,7 +101,6 @@ class ExperimentConfig:
 @dataclass
 class ExperimentResult:
     records: list
-    config: object = None
 
     def to_csv(self):
         return _rows_to_csv(self.records)
@@ -256,7 +255,7 @@ def measure_concentration(config, threads=None):
         if failures:
             records.append(dict(base, statistic="solver_failures",
                                 mean=failures, stderr="", R=config.R))
-    return ExperimentResult(records, config)
+    return ExperimentResult(records)
 
 
 # ---------------------------------------------------------------------------
@@ -469,4 +468,4 @@ def bound_scorecard(n_grid, d_grid, R=20, seed=0, threads=None):
         if isinstance(seg_mean, float) and seg_mean > 0:
             records.append(dict(base, statistic="ratio_seginer",
                                 mean=mean / seg_mean, stderr="", R=used))
-    return ExperimentResult(records, config)
+    return ExperimentResult(records)

@@ -16,6 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 
 _TSV_FLOAT = "%.17g"
+# largest n with a dense n x n P (LSM, IERM): 4096^2 doubles are 128 MB
+DENSE_LIMIT = 4096
 
 
 class Graph:
@@ -446,7 +448,7 @@ class ExpectedMatrix:
                         best = max(best, tk[0] * tl.max() * self.B[k, l])
         return float(best)
 
-    def to_dense(self, limit=4096):
+    def to_dense(self, limit=DENSE_LIMIT):
         if self.n > limit:
             raise ValueError(f"refusing to densify n={self.n} > {limit}")
         if self._P is not None:
@@ -458,7 +460,10 @@ class ExpectedMatrix:
 
 
 def expected_matrix(spec, labels):
-    """E[A] for the given spec conditioned on the given labels."""
+    """E[A] for the given spec conditioned on the given labels.
+
+    LSM and IERM give a dense P, refused above DENSE_LIMIT nodes.
+    """
     labels = np.asarray(labels, dtype=np.int64)
     n = len(labels)
     if isinstance(spec, ER):
@@ -472,6 +477,8 @@ def expected_matrix(spec, labels):
         return ExpectedMatrix.block(labels, spec.B, spec.theta)
     if isinstance(spec, SBM):
         return ExpectedMatrix.block(labels, spec.B)
+    if isinstance(spec, (LSM, IERM)) and n > DENSE_LIMIT:
+        raise ValueError(f"refusing a dense P for n={n} > {DENSE_LIMIT}")
     if isinstance(spec, LSM):
         X = np.asarray(spec.positions)
         if len(X) != n:
@@ -691,6 +698,6 @@ def sample(spec, n, seed):
         theta = E.theta if isinstance(spec, DCSBM) else None
         gi, gj = _sample_block_model(n, labels, E.B, theta, rng)
     else:
-        P = expected_matrix(spec, labels).to_dense(limit=16384)
+        P = expected_matrix(spec, labels).to_dense()
         gi, gj = _sample_dense(P, rng)
     return Graph(n, gi, gj, np.ones(len(gi))), labels

@@ -409,14 +409,3 @@ def dense_eig_oracle(M, max_sweeps=60):
     order = np.argsort(w)
     return w[order], V[:, order]
 
-
-if __name__ == "__main__":
-    rng = np.random.default_rng(0)
-    B = rng.standard_normal((24, 24))
-    B = 0.5 * (B + B.T)
-    w, V = dense_eig_oracle(B)
-    print("oracle reconstruction error:",
-          np.linalg.norm(B - V @ np.diag(w) @ V.T) / np.linalg.norm(B))
-    op = SymmetricOperator.from_matrix(B)
-    print("power-iteration norm vs oracle:",
-          spectral_norm(op), np.abs(w).max())

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,16 +67,16 @@ def test_misclassification_many_communities_assignment_path():
     assert misclassification_rate(est, truth) == 0.0
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(1, 4), min_size=2, max_size=40),
-       st.permutations([1, 2, 3, 4]))
-def test_misclassification_invariant_under_relabeling(truth, perm):
-    truth = np.array(truth)
-    rng = np.random.default_rng(len(truth))
-    est = rng.integers(1, 5, size=len(truth))
-    relabeled = np.array([perm[e - 1] for e in est])
-    assert misclassification_rate(relabeled, truth) == pytest.approx(
-        misclassification_rate(est, truth))
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_misclassification_invariant_under_relabeling(data):
+    K = data.draw(st.integers(1, 6))
+    n = data.draw(st.integers(1, 40))
+    labels = st.lists(st.integers(1, K), min_size=n, max_size=n)
+    est = np.array(data.draw(labels))
+    truth = np.array(data.draw(labels))
+    perm = np.array([0] + data.draw(st.permutations(range(1, K + 1))))
+    assert misclassification_rate(perm[est], truth) == misclassification_rate(est, truth)
 
 
 @settings(max_examples=30, deadline=None)
@@ -108,6 +110,26 @@ def test_kmeans_deterministic_and_validated():
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
         kmeans(X[:2], 3)
+
+
+@pytest.mark.parametrize("X, K", [
+    (np.ones((5, 2)), 2),
+    (np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), 3),
+    (np.array([[0.0, 0.0], [2.0, 2.0], [0.0, 0.0]]), 3),
+], ids=["identical-rows", "three-points", "two-distinct-rows"])
+def test_kmeans_degenerate_input(X, K):
+    # fewer distinct rows than K: empty clusters and a 0/0 k-means++ draw,
+    # none of whose warnings may reach the caller
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = kmeans(X, K, seed=4)
+        b = kmeans(X, K, seed=4)
+    assert a.dtype == np.int64
+    assert a.min() >= 1 and a.max() <= K
+    assert np.array_equal(a, b)
+    # equal rows share a label, distinct rows do not
+    same = (X[:, None, :] == X[None, :, :]).all(axis=-1)
+    assert np.array_equal(a[:, None] == a[None, :], same)
 
 
 # ---------------------------------------------------------------------------

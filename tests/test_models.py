@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import specgraph.models as models
 from specgraph.models import (
     DCSBM,
     ER,
@@ -364,6 +365,21 @@ def test_lsm_expected_matrix_unchanged(X):
     spec = LSM(tuple(map(tuple, np.asarray(X))))
     P = expected_matrix(spec, np.ones(len(spec.positions), dtype=np.int64)).to_dense()
     assert np.array_equal(P, _lsm_reference(X))
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: LSM(tuple((float(k), 0.0) for k in range(n))),
+    lambda n: IERM(tuple(tuple(0.0 if a == b else 0.1 for b in range(n)) for a in range(n))),
+], ids=["lsm", "ierm"])
+def test_dense_models_refuse_n_above_limit(monkeypatch, make):
+    # a small limit checks the guard without building the extreme
+    monkeypatch.setattr(models, "DENSE_LIMIT", 6)
+    g, _ = sample(make(6), 6, 0)
+    assert g.n == 6
+    with pytest.raises(ValueError, match="refusing a dense P"):
+        sample(make(7), 7, 0)
+    with pytest.raises(ValueError, match="refusing a dense P"):
+        expected_matrix(make(7), np.ones(7, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
