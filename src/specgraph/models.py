@@ -36,6 +36,8 @@ class Graph:
         i = np.array(i, dtype=np.int64)
         j = np.array(j, dtype=np.int64)
         w = np.array(w, dtype=np.float64)
+        if n < 0:
+            raise ValueError("n must be nonnegative")
         if not (len(i) == len(j) == len(w)):
             raise ValueError("edge arrays must have equal length")
         if len(i) and (i.min() < 0 or j.max() >= n):
@@ -338,49 +340,40 @@ def model_from_json(text):
 # ---------------------------------------------------------------------------
 
 class ExpectedMatrix:
-    """P = E[A], either block structured (labels, B, theta) or dense.
+    """P = E[A] in block form: P_ij = theta_i theta_j B[c_i, c_j] for i != j.
 
-    The block form supports O(n*K) matvecs, which is what makes deviation
-    norms at n = 1e5 affordable; the dense form covers LSM/IERM.  The diagonal
-    is zero in both representations.
+    Block models carry K communities, which gives O(n*K) matvecs and makes
+    deviation norms at n = 1e5 affordable.  A dense P (LSM, IERM) is the same
+    form with n blocks of one node: c = 0..n-1, B = P, theta = 1.  The
+    diagonal of P is zero.
     """
 
-    def __init__(self, n, labels=None, B=None, theta=None, dense=None):
-        self.n = int(n)
-        if dense is not None:
-            P = np.array(dense, dtype=np.float64)
-            np.fill_diagonal(P, 0.0)
-            self._P = P
-            self.labels = None
-            self.B = None
-            self.theta = None
-        else:
-            self._P = None
-            self.labels = np.asarray(labels, dtype=np.int64)
-            self.B = np.asarray(B, dtype=np.float64)
-            self.theta = (np.ones(self.n) if theta is None
-                          else np.asarray(theta, dtype=np.float64))
-            if len(self.labels) != self.n or len(self.theta) != self.n:
-                raise ValueError("labels/theta length must equal n")
-            K = self.B.shape[0]
-            if self.labels.min() < 1 or self.labels.max() > K:
-                raise ValueError("label out of range for B")
-            # fixed per matrix: 0-based labels and the diagonal theta^2 B_cc
-            # that P leaves out (see block_factors)
-            self._c = self.labels - 1
-            self._diag = self.theta ** 2 * self.B[self._c, self._c]
+    def __init__(self, labels, B, theta=None):
+        self.labels = np.asarray(labels, dtype=np.int64)
+        self.n = len(self.labels)
+        self.B = np.asarray(B, dtype=np.float64)
+        self.theta = (np.ones(self.n) if theta is None
+                      else np.asarray(theta, dtype=np.float64))
+        if len(self.theta) != self.n:
+            raise ValueError("theta length must equal the number of labels")
+        K = self.B.shape[0]
+        if self.labels.min() < 1 or self.labels.max() > K:
+            raise ValueError("label out of range for B")
+        # fixed per matrix: 0-based labels and the diagonal theta^2 B_cc
+        # that P leaves out (see block_factors)
+        self._c = self.labels - 1
+        self._diag = self.theta ** 2 * self.B[self._c, self._c]
 
     @classmethod
     def block(cls, labels, B, theta=None):
-        return cls(len(labels), labels=labels, B=B, theta=theta)
+        return cls(labels, B, theta)
 
     @classmethod
     def from_dense(cls, P):
-        return cls(len(P), dense=P)
-
-    @property
-    def is_block(self):
-        return self._P is None
+        """A symmetric P as n blocks of one node; P's diagonal is zeroed."""
+        P = np.array(P, dtype=np.float64)
+        np.fill_diagonal(P, 0.0)
+        return cls(np.arange(1, len(P) + 1), P)
 
     def block_factors(self):
         """(theta, c, B, diag) of the block form, with c the 0-based labels:
@@ -388,16 +381,12 @@ class ExpectedMatrix:
             P = diag(theta) B[c][:, c] diag(theta) - diag(diag),
 
         where diag = theta^2 B_cc is the diagonal the low-rank part carries and
-        P leaves out.  Raises ValueError for the dense form.
+        P leaves out.
         """
-        if self._P is not None:
-            raise ValueError("a dense ExpectedMatrix has no block factors")
         return self.theta, self._c, self.B, self._diag
 
     def matvec(self, x):
-        """P @ x without materializing P (block form) or via the dense array."""
-        if self._P is not None:
-            return self._P @ x
+        """P @ x without materializing P."""
         theta, c, B, diag = self.block_factors()
         sums = np.bincount(c, weights=theta * x, minlength=len(B))
         y = (B @ sums)[c]
@@ -410,11 +399,10 @@ class ExpectedMatrix:
 
     def row_sq_sums(self):
         """Per-row sums of squared entries, sum_{j != i} P_ij^2."""
-        if self._P is not None:
-            return (self._P ** 2).sum(axis=1)
         c = self._c
-        t2 = np.bincount(c, weights=self.theta ** 2, minlength=self.B.shape[0])
-        y = self.theta ** 2 * ((self.B ** 2)[c] @ t2)
+        t2 = np.bincount(c, weights=self.theta ** 2, minlength=len(self.B))
+        # product before gather: (B^2)[c] is a second n x n array at K = n
+        y = self.theta ** 2 * ((self.B ** 2) @ t2)[c]
         y -= self.theta ** 4 * self.B[c, c] ** 2
         return y
 
@@ -422,39 +410,28 @@ class ExpectedMatrix:
         """P_ij for paired index arrays (i != j assumed)."""
         i = np.asarray(i, dtype=np.int64)
         j = np.asarray(j, dtype=np.int64)
-        if self._P is not None:
-            return self._P[i, j]
-        ci = self.labels[i] - 1
-        cj = self.labels[j] - 1
-        return self.theta[i] * self.theta[j] * self.B[ci, cj]
+        return self.theta[i] * self.theta[j] * self.B[self._c[i], self._c[j]]
 
     def max_entry(self):
-        """Largest off-diagonal entry of P."""
-        if self._P is not None:
-            return float(self._P.max()) if self.n > 1 else 0.0
-        K = self.B.shape[0]
-        best = 0.0
-        for k in range(K):
-            tk = np.sort(self.theta[self.labels == k + 1])[::-1]
-            if len(tk) == 0:
-                continue
-            for l in range(k, K):
-                if l == k:
-                    if len(tk) >= 2:
-                        best = max(best, tk[0] * tk[1] * self.B[k, k])
-                else:
-                    tl = self.theta[self.labels == l + 1]
-                    if len(tl):
-                        best = max(best, tk[0] * tl.max() * self.B[k, l])
-        return float(best)
+        """Largest off-diagonal entry of P (0 if P has none)."""
+        K = len(self.B)
+        counts = np.bincount(self._c, minlength=K)
+        first = np.cumsum(counts) - counts
+        # theta by block, largest first, padded so an empty block indexes safely
+        t = np.append(self.theta[np.lexsort((-self.theta, self._c))], [0.0, 0.0])
+        top = np.where(counts > 0, t[first], 0.0)
+        second = np.where(counts > 1, t[first + 1], 0.0)
+        M = np.outer(top, top)
+        M *= self.B
+        np.fill_diagonal(M, top * second * np.diag(self.B))
+        return float(max(0.0, M.max()))
 
     def to_dense(self, limit=DENSE_LIMIT):
         if self.n > limit:
             raise ValueError(f"refusing to densify n={self.n} > {limit}")
-        if self._P is not None:
-            return self._P.copy()
-        c = self.labels - 1
-        P = self.theta[:, None] * self.theta[None, :] * self.B[np.ix_(c, c)]
+        c = self._c
+        P = np.outer(self.theta, self.theta)
+        P *= self.B[np.ix_(c, c)]
         np.fill_diagonal(P, 0.0)
         return P
 
@@ -462,7 +439,8 @@ class ExpectedMatrix:
 def expected_matrix(spec, labels):
     """E[A] for the given spec conditioned on the given labels.
 
-    LSM and IERM give a dense P, refused above DENSE_LIMIT nodes.
+    LSM and IERM give a dense P, stored as n blocks of one node and refused
+    above DENSE_LIMIT nodes.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n = len(labels)
@@ -698,6 +676,6 @@ def sample(spec, n, seed):
         theta = E.theta if isinstance(spec, DCSBM) else None
         gi, gj = _sample_block_model(n, labels, E.B, theta, rng)
     else:
-        P = expected_matrix(spec, labels).to_dense()
-        gi, gj = _sample_dense(P, rng)
+        # a dense P is stored as B with one block per node
+        gi, gj = _sample_dense(expected_matrix(spec, labels).B, rng)
     return Graph(n, gi, gj, np.ones(len(gi))), labels

@@ -163,8 +163,7 @@ def expected_regularized_laplacian(expected, tau):
         raise ValueError("tau = 0 requires positive expected degrees")
     s = 1.0 / np.sqrt(rows + tau)
     return SymmetricOperator.compose(expected.n, expected=expected,
-                                     expected_coef=1.0, rank_one=tau / expected.n,
-                                     scale=s)
+                                     rank_one=tau / expected.n, scale=s)
 
 
 def choose_tau(graph, rho=0.25):

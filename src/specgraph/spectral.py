@@ -2,11 +2,12 @@
 
 The central object is a SymmetricOperator: a sum of terms, each of the form
 
-    sign * D_s (S + c * P + gamma * 11^T + mu * I) D_s
+    sign * D_s (S + P + gamma * 11^T + mu * I) D_s
 
-with S sparse, P a structured ExpectedMatrix, and D_s an optional diagonal
-scaling.  That covers every matrix this package cares about: A, A - E[A],
-A + (tau/n) 11^T, normalized Laplacians, and differences of Laplacians.
+with S sparse, P an ExpectedMatrix (block form; a dense P is n blocks of one
+node), D_s an optional diagonal scaling and sign = +1 or -1.  That covers
+every matrix this package cares about: A, A - E[A], A + (tau/n) 11^T,
+normalized Laplacians, and differences of Laplacians.
 On its first matvec the operator folds its terms into one prescaled CSR, a
 few low-rank corrections and one diagonal, so an eigensolve does not rebuild
 the terms on each of its hundreds of matvecs.
@@ -24,6 +25,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from .models import DENSE_LIMIT
 
 _DEFAULT_SEED = 0x5EEDED
 
@@ -47,13 +50,12 @@ class _Term:
     scale: object = None        # diagonal vector applied on both sides, or None
     sparse: object = None       # scipy sparse matrix, or None
     expected: object = None     # ExpectedMatrix, or None
-    expected_coef: float = 1.0
     rank_one: float = 0.0       # gamma in gamma * 11^T
     eye: float = 0.0            # mu in mu * I
 
     def negated(self):
         return _Term(-self.sign, self.scale, self.sparse, self.expected,
-                     self.expected_coef, self.rank_one, self.eye)
+                     self.rank_one, self.eye)
 
 
 def _scaled_csr(S, sign, s):
@@ -89,8 +91,8 @@ class SymmetricOperator:
         return (self.n, self.n)
 
     @classmethod
-    def compose(cls, n, sparse=None, expected=None, expected_coef=1.0,
-                rank_one=0.0, eye=0.0, scale=None):
+    def compose(cls, n, sparse=None, expected=None, rank_one=0.0, eye=0.0,
+                scale=None):
         """Single-term operator sign-positive; see module docstring for the form."""
         if scale is not None:
             scale = np.asarray(scale, dtype=np.float64)
@@ -100,8 +102,7 @@ class SymmetricOperator:
             sparse = sp.csr_matrix(sparse)
             if sparse.shape != (n, n):
                 raise ValueError("sparse part must be n x n")
-        return cls(n, [_Term(1.0, scale, sparse, expected, expected_coef,
-                             rank_one, eye)])
+        return cls(n, [_Term(1.0, scale, sparse, expected, rank_one, eye)])
 
     @classmethod
     def from_graph(cls, graph):
@@ -115,8 +116,7 @@ class SymmetricOperator:
     @classmethod
     def centered(cls, graph, expected):
         """A - E[A] with the structured expectation kept matrix-free."""
-        return cls.compose(graph.n, sparse=graph.adjacency(),
-                           expected=expected, expected_coef=-1.0)
+        return cls.from_graph(graph) - cls.compose(graph.n, expected=expected)
 
     def __sub__(self, other):
         if not isinstance(other, SymmetricOperator):
@@ -126,78 +126,69 @@ class SymmetricOperator:
         return SymmetricOperator(self.n, self.terms + [t.negated() for t in other.terms])
 
     def _fold(self):
-        """(csr, diag, lowrank, dense): the terms summed into one CSR, one
-        diagonal vector, low-rank parts (u, c, B) and dense ExpectedMatrix
-        parts.
+        """(csr, diag, lowrank): the terms summed into one CSR, one diagonal
+        vector and low-rank parts (u, c, B, sign).
 
-        A low-rank part adds u * (B @ bincount(c, u * x))[c] for a block
-        expectation (see ExpectedMatrix.block_factors) or u * (B * sum(u * x))
-        for a scalar B when c is None; u is None for the all-ones vector.
+        A low-rank part adds sign * u * (B @ bincount(c, u * x))[c] for an
+        expectation (see ExpectedMatrix.block_factors; B is not copied) or
+        sign * u * (B * sum(u * x)) for a scalar B when c is None; u is None
+        for the all-ones vector.
         """
         n = self.n
         csr = None
         diag = np.zeros(n)
-        lowrank, dense = [], []
+        lowrank = []
         for t in self.terms:
             s = t.scale
             s2 = 1.0 if s is None else s * s
             if t.sparse is not None:
                 part = _scaled_csr(t.sparse, t.sign, s)
                 csr = part if csr is None else csr + part
-            E = t.expected
-            if E is not None and E.is_block:
-                coef = t.sign * t.expected_coef
-                theta, c, B, Ediag = E.block_factors()
-                diag -= coef * Ediag * s2
+            if t.expected is not None:
+                theta, c, B, Ediag = t.expected.block_factors()
+                diag -= t.sign * Ediag * s2
                 # unit theta keeps u = None on the unscaled A - E[A] operators
                 u = s if np.all(theta == 1.0) else (
                     theta if s is None else s * theta)
                 if B.shape == (1, 1):
-                    lowrank.append((u, None, coef * float(B[0, 0])))
+                    lowrank.append((u, None, float(B[0, 0]), t.sign))
                 else:
-                    lowrank.append((u, c, coef * B))
-            elif E is not None:
-                dense.append((s, t.sign * t.expected_coef, E))
+                    lowrank.append((u, c, B, t.sign))
             if t.rank_one != 0.0:
-                lowrank.append((s, None, t.sign * t.rank_one))
+                lowrank.append((s, None, t.rank_one, t.sign))
             if t.eye != 0.0:
                 diag += t.sign * t.eye * s2
         if not np.any(diag):
             diag = None
-        self._folded = (csr, diag, lowrank, dense)
+        self._folded = (csr, diag, lowrank)
         return self._folded
 
     def matvec(self, x):
         x = np.asarray(x, dtype=np.float64)
-        csr, diag, lowrank, dense = self._folded or self._fold()
+        csr, diag, lowrank = self._folded or self._fold()
         y = csr @ x if csr is not None else np.zeros(self.n)
         # one scratch vector per call; no BLAS on n-vectors, whose threads
         # would compete with ARPACK's (einsum runs numpy's own loop)
         tmp = np.empty(self.n)
         if diag is not None:
             y += np.multiply(x, diag, out=tmp)
-        for u, c, B in lowrank:
+        for u, c, B, sign in lowrank:
             if c is None:
                 if u is None:
-                    y += B * x.sum()
+                    y += sign * B * x.sum()
                 else:
-                    y += np.multiply(u, B * np.einsum("i,i->", u, x), out=tmp)
+                    y += np.multiply(u, sign * B * np.einsum("i,i->", u, x), out=tmp)
             else:
                 ux = x if u is None else np.multiply(u, x, out=tmp)
                 sums = np.bincount(c, weights=ux, minlength=len(B))
-                np.take(B @ sums, c, out=tmp)
+                # sign is +-1: scaling the K-vector, not B, is exact
+                np.take(sign * (B @ sums), c, out=tmp)
                 if u is not None:
                     tmp *= u
                 y += tmp
-        for s, coef, E in dense:
-            z = E.matvec(x if s is None else s * x)
-            z *= coef
-            if s is not None:
-                z *= s
-            y += z
         return y
 
-    def to_dense(self, limit=4096):
+    def to_dense(self, limit=DENSE_LIMIT):
         """Materialize the operator densely (independent code path from matvec)."""
         if self.n > limit:
             raise ValueError(f"refusing to densify n={self.n} > {limit}")
@@ -207,7 +198,7 @@ class SymmetricOperator:
             if t.sparse is not None:
                 part += t.sparse.toarray()
             if t.expected is not None:
-                part += t.expected_coef * t.expected.to_dense(limit=limit)
+                part += t.expected.to_dense(limit=limit)
             if t.rank_one != 0.0:
                 part += t.rank_one * np.ones((self.n, self.n))
             if t.eye != 0.0:

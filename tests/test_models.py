@@ -207,15 +207,45 @@ def test_ierm_expected_is_p():
     assert np.allclose(E.to_dense(), P)
 
 
-def test_block_matvec_matches_dense():
+def _expected_case(name, rng, n=30):
+    """(E, P) with P built here from the model's definition, diagonal zeroed."""
+    if name == "dense":
+        P = rng.uniform(0, 1, size=(n, n))
+        P = 0.5 * (P + P.T)
+        E = ExpectedMatrix.from_dense(P)
+    elif name == "lsm":
+        X = rng.uniform(0, 3, size=(n, 2))
+        E = expected_matrix(LSM(tuple(map(tuple, X))), np.ones(n, dtype=np.int64))
+        # kernel exp(-0) = 1 on the diagonal until it is zeroed
+        P = np.exp(-np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)))
+    else:
+        if name == "dcsbm":
+            labels = rng.integers(1, 4, size=n)
+        else:  # block 1 empty, block 3 the single node 0
+            labels = rng.choice([2, 4], size=n)
+            labels[0] = 3
+        K = int(labels.max())
+        B = rng.uniform(0, 1, size=(K, K))
+        B = 0.5 * (B + B.T)
+        theta = rng.uniform(0.3, 1.0, size=n)
+        if name != "dcsbm":
+            # B entries no pair of nodes uses sit well above every P_ij, so
+            # max_entry must skip the empty block and the single node's B_33
+            B *= 0.5
+            B[0, :] = B[:, 0] = B[2, 2] = 1.0
+            theta[0] = 1.0
+        E = ExpectedMatrix.block(labels, B, theta)
+        P = theta[:, None] * B[labels - 1][:, labels - 1] * theta[None, :]
+    np.fill_diagonal(P, 0.0)
+    return E, P
+
+
+@pytest.mark.parametrize("name", ["dcsbm", "dense", "lsm", "empty-and-singleton-blocks"])
+def test_block_matvec_matches_dense(name):
     rng = np.random.default_rng(5)
-    n = 30
-    labels = rng.integers(1, 4, size=n)
-    B = rng.uniform(0, 1, size=(3, 3))
-    B = 0.5 * (B + B.T)
-    theta = rng.uniform(0.3, 1.0, size=n)
-    E = ExpectedMatrix.block(labels, B, theta)
-    P = E.to_dense()
+    E, P = _expected_case(name, rng)
+    n = len(P)
+    assert np.allclose(E.to_dense(), P, atol=1e-15)
     for _ in range(5):
         x = rng.standard_normal(n)
         assert np.linalg.norm(E.matvec(x) - P @ x) <= 1e-12 * max(1, np.linalg.norm(P @ x))
@@ -227,18 +257,12 @@ def test_block_matvec_matches_dense():
 
 
 def test_block_factors_rebuild_p():
-    rng = np.random.default_rng(6)
-    n = 20
-    labels = rng.integers(1, 4, size=n)
-    B = rng.uniform(0, 1, size=(3, 3))
-    B = 0.5 * (B + B.T)
-    E = ExpectedMatrix.block(labels, B, rng.uniform(0.3, 1.0, size=n))
-    theta, c, BB, diag = E.block_factors()
-    assert np.array_equal(c, labels - 1)
-    P = theta[:, None] * BB[c][:, c] * theta[None, :] - np.diag(diag)
-    assert np.allclose(P, E.to_dense(), atol=1e-15)
-    with pytest.raises(ValueError, match="no block factors"):
-        ExpectedMatrix.from_dense(E.to_dense()).block_factors()
+    for name in ("dcsbm", "dense"):
+        E, P = _expected_case(name, np.random.default_rng(6), n=20)
+        theta, c, BB, diag = E.block_factors()
+        assert np.array_equal(c, E.labels - 1)
+        rebuilt = theta[:, None] * BB[c][:, c] * theta[None, :] - np.diag(diag)
+        assert np.allclose(rebuilt, P, atol=1e-15)
 
 
 def test_max_expected_degree_conventions():
@@ -321,6 +345,8 @@ def test_graph_validation():
         Graph(4, [0], [4], [1.0])  # endpoint out of range
     with pytest.raises(ValueError):
         Graph(4, [0, 1], [1], [1.0])  # ragged arrays
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        Graph(-3, [], [], [])
     with pytest.raises(ValueError):
         sample(ER(0.5), 0, 1)
 
@@ -410,6 +436,8 @@ def test_tsv_parse_errors():
         Graph.parse_tsv("# n=3\n0\t1\n")  # malformed line
     with pytest.raises(ValueError):
         Graph.parse_tsv("# n=3\n0\t1\t0\n")  # nonpositive weight
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        Graph.parse_tsv("# n=-3\n")
 
 
 @pytest.mark.parametrize("body", [

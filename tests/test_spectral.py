@@ -43,13 +43,11 @@ def random_operator(seed, n=16):
     op = SymmetricOperator.compose(
         n,
         sparse=g.adjacency(),
-        expected=E,
-        expected_coef=-1.0,
         rank_one=rng.uniform(-0.5, 0.5),
         eye=rng.uniform(-1, 1),
         scale=scale,
     )
-    return op
+    return op - SymmetricOperator.compose(n, expected=E, scale=scale)
 
 
 # ---------------------------------------------------------------------------
