@@ -89,11 +89,7 @@ def _pair_list(text):
 def _model_from_flags(args):
     if args.spec is not None:
         with open(args.spec, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        try:
-            return model_from_json(text)
-        except KeyError as exc:
-            raise ValueError(f"model spec {args.spec} lacks key {exc}") from None
+            return model_from_json(fh.read())
     if args.model == "er":
         if args.p is None:
             raise ValueError("--model er needs --p")

@@ -76,7 +76,7 @@ def kmeans(X, K, seed=None):
     return best_assign.astype(np.int64) + 1
 
 
-def spectral_cluster(op, K=2, mode="laplacian-second-largest", seed=None, tol=1e-8):
+def spectral_cluster(op, K=2, mode="laplacian-second-largest", seed=None):
     """Cluster nodes from the spectrum of the supplied operator.
 
     The sign modes (K=2) read off one eigenvector: the second-smallest or
@@ -89,15 +89,15 @@ def spectral_cluster(op, K=2, mode="laplacian-second-largest", seed=None, tol=1e
     if K < 2:
         raise ValueError("K must be at least 2")
     if mode == "top-k-embedding":
-        pairs = top_eigs(op, K, which="largest-algebraic", tol=tol, seed=seed)
+        pairs = top_eigs(op, K, which="largest-algebraic", seed=seed)
         U = np.column_stack([p.vector for p in pairs])
         return kmeans(U, K, seed=seed)
     if K != 2:
         raise ValueError(f"mode {mode!r} is a two-community sign rule")
     if mode == "adjacency-second-smallest":
-        pairs = top_eigs(op, 2, which="smallest-algebraic", tol=tol, seed=seed)
+        pairs = top_eigs(op, 2, which="smallest-algebraic", seed=seed)
         v2 = pairs[1].vector  # ascending order: index 1 is second smallest
     else:
-        pairs = top_eigs(op, 2, which="largest-algebraic", tol=tol, seed=seed)
+        pairs = top_eigs(op, 2, which="largest-algebraic", seed=seed)
         v2 = pairs[1].vector  # descending order: index 1 is second largest
     return sign_partition(v2)

@@ -10,7 +10,7 @@ thinning, and dense-P models row by row.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -237,36 +237,27 @@ class DCSBM:
         return len(self.pi)
 
 
-def _kernel_exp(d):
-    return np.exp(-d)
-
-
-KERNELS = {"exp": _kernel_exp}
-
-
 @dataclass(frozen=True)
 class LSM:
-    """Latent space model: P_ij = kernel(||x_i - x_j||) for latent positions x.
+    """Latent space model: P_ij = exp(-||x_i - x_j||) for finite latent
+    positions x, so closer points connect more often.
 
-    The kernel must map distances to [0, 1] and decrease in distance, so closer
-    points connect more often.  Named kernels live in KERNELS ("exp" default);
-    a custom callable may be supplied instead of a name.
+    "exp" is the only kernel; the field names it in the spec's JSON.
     """
 
     positions: tuple
-    kernel: object = "exp"
+    kernel: str = "exp"
 
     def __post_init__(self):
         X = np.asarray(self.positions, dtype=np.float64)
         if X.ndim != 2 or X.shape[0] < 1:
             raise ValueError("positions must be an n x dim array")
-        if isinstance(self.kernel, str) and self.kernel not in KERNELS:
+        if not np.isfinite(X).all():  # json.loads accepts NaN and Infinity
+            raise ValueError("positions must be finite")
+        if self.kernel != "exp":
             raise ValueError(f"unknown kernel {self.kernel!r}")
         object.__setattr__(self, "positions",
                            tuple(tuple(float(v) for v in row) for row in X))
-
-    def kernel_fn(self):
-        return KERNELS[self.kernel] if isinstance(self.kernel, str) else self.kernel
 
 
 @dataclass(frozen=True)
@@ -292,47 +283,31 @@ class IERM:
 # JSON round trip for model specs
 # ---------------------------------------------------------------------------
 
+_KINDS = {"er": ER, "pp": PlantedPartition, "sbm": SBM, "dcsbm": DCSBM,
+          "lsm": LSM, "ierm": IERM}
+
+
 def model_to_json(spec):
-    """Serialize a model spec to a JSON string (see README for the schema)."""
-    if isinstance(spec, ER):
-        doc = {"model": "er", "p": spec.p}
-    elif isinstance(spec, PlantedPartition):
-        doc = {"model": "pp", "a": spec.a, "b": spec.b}
-    elif isinstance(spec, DCSBM):
-        doc = {"model": "dcsbm", "pi": list(spec.pi),
-               "B": [list(r) for r in spec.B], "theta": list(spec.theta)}
-    elif isinstance(spec, SBM):
-        doc = {"model": "sbm", "pi": list(spec.pi), "B": [list(r) for r in spec.B]}
-    elif isinstance(spec, LSM):
-        if not isinstance(spec.kernel, str):
-            raise ValueError("only named kernels serialize to JSON")
-        doc = {"model": "lsm", "positions": [list(r) for r in spec.positions],
-               "kernel": spec.kernel}
-    elif isinstance(spec, IERM):
-        doc = {"model": "ierm", "P": [list(r) for r in spec.P]}
-    else:
+    """Serialize a model spec to a JSON string: its kind and its fields."""
+    kind = next((k for k, cls in _KINDS.items() if type(spec) is cls), None)
+    if kind is None:
         raise ValueError(f"not a model spec: {spec!r}")
-    return json.dumps(doc)
+    return json.dumps({"model": kind,
+                       **{f.name: getattr(spec, f.name) for f in fields(spec)}})
 
 
 def model_from_json(text):
-    doc = json.loads(text)
-    kind = doc.get("model")
-    if kind == "er":
-        return ER(doc["p"])
-    if kind == "pp":
-        return PlantedPartition(doc["a"], doc["b"])
-    if kind == "sbm":
-        return SBM(tuple(doc["pi"]), tuple(tuple(r) for r in doc["B"]))
-    if kind == "dcsbm":
-        return DCSBM(tuple(doc["pi"]), tuple(tuple(r) for r in doc["B"]),
-                     tuple(doc["theta"]))
-    if kind == "lsm":
-        return LSM(tuple(tuple(r) for r in doc["positions"]),
-                   doc.get("kernel", "exp"))
-    if kind == "ierm":
-        return IERM(tuple(tuple(r) for r in doc["P"]))
-    raise ValueError(f"unknown model kind {kind!r}")
+    """Parse a spec written by model_to_json; a malformed one is a ValueError."""
+    params = json.loads(text)
+    if not isinstance(params, dict):
+        raise ValueError("a model spec must be a JSON object")
+    kind = params.pop("model", None)
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    try:
+        return _KINDS[kind](**params)
+    except TypeError as exc:  # missing, unknown or wrong-typed parameter
+        raise ValueError(f"bad {kind} spec: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +338,6 @@ class ExpectedMatrix:
         # that P leaves out (see block_factors)
         self._c = self.labels - 1
         self._diag = self.theta ** 2 * self.B[self._c, self._c]
-
-    @classmethod
-    def block(cls, labels, B, theta=None):
-        return cls(labels, B, theta)
 
     @classmethod
     def from_dense(cls, P):
@@ -445,31 +416,33 @@ def expected_matrix(spec, labels):
     labels = np.asarray(labels, dtype=np.int64)
     n = len(labels)
     if isinstance(spec, ER):
-        return ExpectedMatrix.block(np.ones(n, dtype=np.int64), [[spec.p]])
+        return ExpectedMatrix(np.ones(n, dtype=np.int64), [[spec.p]])
     if isinstance(spec, PlantedPartition):
         a, b = spec.a / n, spec.b / n
         if max(a, b) > 1.0:
             raise ValueError("a/n and b/n must be at most 1")
-        return ExpectedMatrix.block(labels, [[a, b], [b, a]])
+        return ExpectedMatrix(labels, [[a, b], [b, a]])
     if isinstance(spec, DCSBM):
-        return ExpectedMatrix.block(labels, spec.B, spec.theta)
+        return ExpectedMatrix(labels, spec.B, spec.theta)
     if isinstance(spec, SBM):
-        return ExpectedMatrix.block(labels, spec.B)
+        return ExpectedMatrix(labels, spec.B)
     if isinstance(spec, (LSM, IERM)) and n > DENSE_LIMIT:
         raise ValueError(f"refusing a dense P for n={n} > {DENSE_LIMIT}")
     if isinstance(spec, LSM):
         X = np.asarray(spec.positions)
         if len(X) != n:
             raise ValueError("LSM position count must equal len(labels)")
-        # one coordinate at a time: the n x n x dim difference tensor would
-        # take dim times the memory of P itself
-        sq = np.zeros((n, n))
+        # one coordinate at a time and in place: P and one n x n difference
+        # are the only n x n arrays (the n x n x dim tensor would take dim
+        # times the memory of P)
+        P = np.zeros((n, n))
+        diff = np.empty((n, n))
         for col in X.T:
-            sq += np.square(np.subtract.outer(col, col))
-        P = spec.kernel_fn()(np.sqrt(sq, out=sq))
-        if P.min() < 0 or P.max() > 1:
-            raise ValueError("kernel values must lie in [0, 1]")
-        return ExpectedMatrix.from_dense(P)
+            np.subtract.outer(col, col, out=diff)
+            P += np.square(diff, out=diff)
+        np.exp(np.negative(np.sqrt(P, out=P), out=P), out=P)
+        np.fill_diagonal(P, 0.0)
+        return ExpectedMatrix(np.arange(1, n + 1), P)
     if isinstance(spec, IERM):
         P = np.asarray(spec.P)
         if len(P) != n:
@@ -502,22 +475,16 @@ def planted_labels(spec, n, rng=None):
 def max_expected_degree(spec, n, labels=None):
     """Both expected-degree conventions as a pair (max row sum, n * max entry).
 
-    With labels the result is exact for the conditional P; without labels,
-    block models use the population approximation (i.i.d. labels in
-    expectation), which is what a caller knows before sampling.
+    With labels, or for a model whose labels are fixed (all but SBM and
+    DCSBM), the result is exact for P; without labels, SBM and DCSBM use the
+    population approximation (i.i.d. labels in expectation), which is what a
+    caller knows before sampling.
     """
+    if labels is None and not isinstance(spec, (SBM, DCSBM)):
+        labels = planted_labels(spec, n)  # fixed, not drawn
     if labels is not None:
         E = expected_matrix(spec, labels)
-        return float(E.row_sums().max()), float(len(labels) * E.max_entry())
-    if isinstance(spec, ER):
-        return float((n - 1) * spec.p), float(n * spec.p)
-    if isinstance(spec, PlantedPartition):
-        n1 = (n + 1) // 2
-        n2 = n - n1
-        a, b = spec.a / n, spec.b / n
-        row1 = (n1 - 1) * a + n2 * b
-        row2 = (n2 - 1) * a + n1 * b
-        return float(max(row1, row2)), float(n * max(a, b))
+        return float(E.row_sums().max()), float(E.n * E.max_entry())
     if isinstance(spec, SBM):
         pi = np.asarray(spec.pi)
         B = np.asarray(spec.B)
@@ -539,11 +506,6 @@ def max_expected_degree(spec, n, labels=None):
         pair = top[0] * (top[1] if len(top) > 1 else top[0])
         entry = pair * (B[np.ix_(sup, sup)].max() if sup.any() else 0.0)
         return float(rowmax), float(n * entry)
-    if isinstance(spec, (LSM, IERM)):
-        E = expected_matrix(spec, np.ones(
-            len(spec.P) if isinstance(spec, IERM) else len(spec.positions),
-            dtype=np.int64))
-        return float(E.row_sums().max()), float(E.n * E.max_entry())
     raise ValueError(f"not a model spec: {spec!r}")
 
 
@@ -628,16 +590,15 @@ def _sample_block_model(n, labels, B, theta, rng):
                 m1, m2 = len(gk), len(gl)
                 flat = _skip_indices(m1 * m2, cap, rng)
                 gi, gj = gk[flat // m2], gl[flat % m2]
+                # two blocks' nodes interleave; within a block r < c already
+                gi, gj = np.minimum(gi, gj), np.maximum(gi, gj)
             if theta is not None and len(gi):
                 accept = theta[gi] * theta[gj] * B[k, l] / cap
                 keep = rng.random(len(gi)) < accept
                 gi, gj = gi[keep], gj[keep]
             if len(gi):
-                swap = gi > gj
-                gi2 = np.where(swap, gj, gi)
-                gj2 = np.where(swap, gi, gj)
-                out_i.append(gi2)
-                out_j.append(gj2)
+                out_i.append(gi)
+                out_j.append(gj)
     if out_i:
         return np.concatenate(out_i), np.concatenate(out_j)
     return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
@@ -668,14 +629,11 @@ def sample(spec, n, seed):
         raise ValueError("n must be at least 1")
     rng = _rng(seed)
     labels = planted_labels(spec, n, rng)
-    if isinstance(spec, ER):
-        flat = _skip_indices(n * (n - 1) // 2, spec.p, rng)
-        gi, gj = _triangle_pairs(flat, n)
-    elif isinstance(spec, (PlantedPartition, SBM, DCSBM)):
-        E = expected_matrix(spec, labels)  # validates probabilities vs n
+    E = expected_matrix(spec, labels)  # validates probabilities vs n
+    if isinstance(spec, (LSM, IERM)):
+        # a dense P is stored as B with one block per node
+        gi, gj = _sample_dense(E.B, rng)
+    else:
         theta = E.theta if isinstance(spec, DCSBM) else None
         gi, gj = _sample_block_model(n, labels, E.B, theta, rng)
-    else:
-        # a dense P is stored as B with one block per node
-        gi, gj = _sample_dense(expected_matrix(spec, labels).B, rng)
     return Graph(n, gi, gj, np.ones(len(gi))), labels

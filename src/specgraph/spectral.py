@@ -12,9 +12,9 @@ On its first matvec the operator folds its terms into one prescaled CSR, a
 few low-rank corrections and one diagonal, so an eigensolve does not rebuild
 the terms on each of its hundreds of matvecs.
 
-Solvers: power iteration with a two-start agreement certificate for the
-spectral norm, and ARPACK's implicitly restarted Lanczos for top-k eigenpairs,
-with a dense cyclic-Jacobi oracle for testing (independent of LAPACK).
+Solver: ARPACK's implicitly restarted Lanczos for top-k eigenpairs, which
+spectral_norm reads as the largest-magnitude eigenvalue, with a dense
+cyclic-Jacobi oracle for testing (independent of LAPACK).
 """
 
 from __future__ import annotations
@@ -210,57 +210,6 @@ class SymmetricOperator:
 
 
 # ---------------------------------------------------------------------------
-# Power iteration
-# ---------------------------------------------------------------------------
-
-def spectral_norm(op, tol=1e-7, seed=None, max_iter=None):
-    """Estimate max |lambda| by power iteration with an agreement certificate.
-
-    Two independently started runs are advanced in lockstep; each run's norm
-    estimate ||M x_k|| is a monotone lower bound, and we stop once both have
-    plateaued (per-step increment below 0.02*tol) and agree within tol.
-
-    Raises NonConvergenceError (carrying the best estimate) if the certificate
-    is not reached within max_iter iterations.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    n = op.n
-    if max_iter is None:
-        max_iter = max(10 * n, 20000)
-    rng = np.random.default_rng(_DEFAULT_SEED if seed is None else seed)
-    xs = []
-    for _ in range(2):
-        x = rng.standard_normal(n)
-        xs.append(x / np.linalg.norm(x))
-    rs = [0.0, 0.0]
-    inc = [np.inf, np.inf]
-    alive = [True, True]
-    for _ in range(max_iter):
-        for t in range(2):
-            if not alive[t]:
-                continue
-            y = op.matvec(xs[t])
-            r = float(np.linalg.norm(y))
-            if r == 0.0 or not np.isfinite(r):
-                rs[t] = 0.0 if r == 0.0 else rs[t]
-                inc[t] = 0.0
-                alive[t] = False
-                continue
-            inc[t] = (r - rs[t]) / r
-            rs[t] = r
-            xs[t] = y / r
-        scale = max(rs[0], rs[1])
-        if scale == 0.0:
-            return 0.0
-        if max(inc) <= 0.02 * tol and abs(rs[0] - rs[1]) <= tol * scale:
-            return scale
-    raise NonConvergenceError(
-        f"power iteration did not certify within {max_iter} iterations "
-        f"(best estimate {max(rs):.12g})", best_estimate=max(rs))
-
-
-# ---------------------------------------------------------------------------
 # ARPACK top-k
 # ---------------------------------------------------------------------------
 
@@ -336,6 +285,12 @@ def top_eigs(op, k, which="largest-algebraic", tol=1e-8, seed=None, max_basis=No
                 f"eigenpair {value:.12g} has residual {resid:.3g} above "
                 f"tolerance {tol}", best_estimate=pairs[0].value)
     return pairs
+
+
+def spectral_norm(op, tol=1e-8, seed=None):
+    """max |lambda| of a SymmetricOperator: the largest-magnitude eigenvalue
+    from top_eigs, with its tolerance, seed and NonConvergenceError."""
+    return abs(top_eigs(op, 1, "largest-magnitude", tol, seed)[0].value)
 
 
 # ---------------------------------------------------------------------------

@@ -56,11 +56,20 @@ def test_gen_invalid_probability(capsys):
 
 
 def test_gen_spec_missing_key(tmp_path, capsys):
+    # each malformed document exits 2 with an error line naming the fault
+    docs = [
+        ({"model": "pp", "a": 5.0}, "'b'"),  # missing key
+        ({"model": "er", "p": "0.5"}, "bad er spec"),  # wrong type
+        ([1, 2], "JSON object"),
+        ({"model": "sbm", "pi": [1.0], "B": 0.5}, "K x K"),
+        ({"model": "pp", "a": 5, "b": 1, "extra": 3}, "'extra'"),  # unknown key
+    ]
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps({"model": "pp", "a": 5.0}))  # no "b"
-    code, _, err = run(capsys, "gen", "--spec", str(path), "--n", "10")
-    assert code == 2
-    assert "error:" in err and "'b'" in err
+    for doc, needle in docs:
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "gen", "--spec", str(path), "--n", "10")
+        assert code == 2 and out == "", doc
+        assert "error:" in err and needle in err, (doc, err)
 
 
 def test_gen_missing_n(capsys):

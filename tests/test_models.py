@@ -234,7 +234,7 @@ def _expected_case(name, rng, n=30):
             B *= 0.5
             B[0, :] = B[:, 0] = B[2, 2] = 1.0
             theta[0] = 1.0
-        E = ExpectedMatrix.block(labels, B, theta)
+        E = ExpectedMatrix(labels, B, theta)
         P = theta[:, None] * B[labels - 1][:, labels - 1] * theta[None, :]
     np.fill_diagonal(P, 0.0)
     return E, P
@@ -275,6 +275,11 @@ def test_max_expected_degree_conventions():
 
     P0 = tuple(tuple(0.0 for _ in range(4)) for _ in range(4))
     assert max_expected_degree(IERM(P0), 4) == (0.0, 0.0)
+
+    # distances 1, 2 and 3 between the three nodes; node 1 has the largest row
+    rowmax, entrymax = max_expected_degree(LSM(((0.0,), (1.0,), (3.0,))), 3)
+    assert rowmax == pytest.approx(np.exp(-1.0) + np.exp(-2.0), rel=1e-15)
+    assert entrymax == pytest.approx(3 * np.exp(-1.0), rel=1e-15)
 
 
 def test_max_expected_degree_with_labels_exact():
@@ -336,6 +341,8 @@ def test_ierm_validation():
 def test_lsm_validation():
     with pytest.raises(ValueError):
         LSM(((0.0, 0.0),), kernel="nope")
+    with pytest.raises(ValueError, match="finite"):
+        LSM(((0.0, 0.0), (float("nan"), 1.0)))
 
 
 def test_graph_validation():
