@@ -59,18 +59,13 @@ def _write_text(path, text):
             fh.write(text)
 
 
-def _float_list(text):
+def _number_list(text, kind=float):
+    """"1,2" -> (1.0, 2.0), or (1, 2) for kind=int."""
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok != "")
+        return tuple(kind(tok) for tok in text.split(",") if tok != "")
     except ValueError as exc:
-        raise ValueError(f"expected comma-separated numbers, got {text!r}") from exc
-
-
-def _int_list(text):
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok != "")
-    except ValueError as exc:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from exc
+        raise ValueError(f"expected comma-separated {kind.__name__}s, "
+                         f"got {text!r}") from exc
 
 
 def _pair_list(text):
@@ -181,15 +176,10 @@ def _cmd_detect(args):
 def _config_from_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"bad sweep config {path}: expected a JSON object")
     try:
-        kwargs = dict(doc)
-        for key in ("n_grid", "d_grid"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        if "ab_grid" in kwargs:
-            kwargs["ab_grid"] = tuple((float(a), float(b))
-                                      for a, b in kwargs["ab_grid"])
-        return experiments.ExperimentConfig(**kwargs)
+        return experiments.ExperimentConfig(**doc)
     except TypeError as exc:  # unknown key, or a value of the wrong shape
         raise ValueError(f"bad sweep config {path}: {exc}") from None
 
@@ -200,8 +190,8 @@ def _cmd_sweep(args):
     else:
         config = experiments.ExperimentConfig(
             model=args.model,
-            n_grid=_int_list(args.n_grid) if args.n_grid else (),
-            d_grid=_float_list(args.d_grid) if args.d_grid else (),
+            n_grid=_number_list(args.n_grid, int) if args.n_grid else (),
+            d_grid=_number_list(args.d_grid) if args.d_grid else (),
             ab_grid=_pair_list(args.ab_grid) if args.ab_grid else (),
             R=args.R,
             regularization=args.reg,
@@ -228,7 +218,7 @@ def _cmd_fig_eigvec(args):
 
 
 def _cmd_phase(args):
-    result = experiments.phase_sweep(d=args.d, snr_grid=_float_list(args.snr),
+    result = experiments.phase_sweep(d=args.d, snr_grid=_number_list(args.snr),
                                      n=args.n, R=args.R, method=args.method,
                                      tau_rho=args.tau_rho,
                                      cap_multiplier=args.cap_multiplier,
@@ -374,10 +364,7 @@ def main(argv=None):
     except NonConvergenceError as exc:
         print(f"error: eigensolver did not converge: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

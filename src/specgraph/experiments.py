@@ -3,9 +3,13 @@
 Concentration measurement over (n, d) grids, the small-graph Laplacian
 eigenvector study, phase sweeps over the SNR axis, and a bound scorecard.
 
-Reproducibility scheme: every replicate derives its streams from
-(master seed, grid index, replicate index) through SeedSequence, with one
-stream for sampling and one for the eigensolver.  Replicates land in
+The three grids share one harness.  A grid point is a dict of its CSV
+identity columns, its model spec and the knobs its replicate reads; _row
+turns a point and one statistic into a CSV record.
+
+Reproducibility scheme: _run_grid derives each replicate's streams from
+(master seed, grid index, replicate index) through SeedSequence, one for
+sampling and one for the eigensolver.  Replicates land in
 preallocated slots keyed by those indices, and aggregation walks the slots in
 a fixed order, so results are byte-identical for any thread count.
 """
@@ -13,6 +17,7 @@ a fixed order, so results are byte-identical for any thread count.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -64,13 +69,34 @@ def _rows_to_csv(rows):
     return "\n".join(lines) + "\n"
 
 
+def _row(point, seed, statistic, mean, stderr, R):
+    """One CSV record: the point's identity columns and one statistic."""
+    return {k: point[k] for k in CSV_COLUMNS[:8]} | dict(
+        statistic=statistic, mean=mean, stderr=stderr, R=R, seed=seed)
+
+
+def _positive(x):
+    return isinstance(x, float) and math.isfinite(x) and x > 0
+
+
+def _number(name, x, integral=False):
+    """x as an int (integral) or a finite float; a bool is neither."""
+    kind = numbers.Integral if integral else numbers.Real
+    if (isinstance(x, bool) or not isinstance(x, kind)
+            or not (integral or math.isfinite(x))):
+        what = "an integer" if integral else "a finite number"
+        raise ValueError(f"{name} must be {what}, got {x!r}")
+    return int(x) if integral else float(x)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Grid description for measure_concentration.
 
     model: "er" (grid over d, edge probability d/n) or "pp" (grid over (a, b)).
     regularization: one of REGULARIZATIONS, applied before the deviation norm;
-    centering always uses the expectation of the *original* model.
+    centering always uses the expectation of the *original* model.  Grids may
+    be lists (as JSON gives them) and are stored as tuples.
     """
 
     model: str = "er"
@@ -86,16 +112,27 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.model not in ("er", "pp"):
             raise ValueError("model must be 'er' or 'pp'")
+        if self.regularization not in REGULARIZATIONS:
+            raise ValueError(f"regularization must be one of {REGULARIZATIONS}")
+        for name, value in {
+            "R": _number("R", self.R, True),
+            "seed": _number("seed", self.seed, True),
+            "n_grid": tuple(_number("n", n, True) for n in self.n_grid),
+            "d_grid": tuple(_number("d", d) for d in self.d_grid),
+            "ab_grid": tuple((_number("a", a), _number("b", b))
+                             for a, b in self.ab_grid),
+            "tau_rho": _number("tau_rho", self.tau_rho),
+            "cap_multiplier": _number("cap_multiplier", self.cap_multiplier),
+        }.items():
+            object.__setattr__(self, name, value)
         if self.R < 1:
             raise ValueError("R must be at least 1")
-        if len(self.n_grid) == 0:
-            raise ValueError("n grid must be nonempty")
+        if not self.n_grid or min(self.n_grid) < 1:
+            raise ValueError("n grid must be nonempty, with every n at least 1")
         if self.model == "er" and len(self.d_grid) == 0:
             raise ValueError("er sweeps need a d grid")
         if self.model == "pp" and len(self.ab_grid) == 0:
             raise ValueError("pp sweeps need an (a, b) grid")
-        if self.regularization not in REGULARIZATIONS:
-            raise ValueError(f"regularization must be one of {REGULARIZATIONS}")
 
 
 @dataclass
@@ -111,46 +148,39 @@ class ExperimentResult:
 
 
 def _grid_points(config):
+    """The config's grid points, each carrying its knobs for the replicate."""
+    knobs = {"regularization": config.regularization, "method": "",
+             "tau_rho": config.tau_rho, "cap_multiplier": config.cap_multiplier}
     pts = []
-    if config.model == "er":
-        for n in config.n_grid:
-            for d in config.d_grid:
-                pts.append({"model": "er", "n": int(n), "d": float(d),
-                            "a": "", "b": "", "snr": "",
-                            "spec": ER(float(d) / int(n))})
-    else:
-        for n in config.n_grid:
-            for a, b in config.ab_grid:
-                snr = 0.0 if a + b == 0 else (a - b) ** 2 / (a + b)
-                pts.append({"model": "pp", "n": int(n), "d": (a + b) / 2.0,
-                            "a": float(a), "b": float(b), "snr": snr,
-                            "spec": PlantedPartition(float(a), float(b))})
+    for n in config.n_grid:
+        for d in config.d_grid if config.model == "er" else ():
+            pts.append({"model": "er", "n": n, "d": d, "a": "", "b": "",
+                        "snr": "", "spec": ER(d / n)} | knobs)
+        for a, b in config.ab_grid if config.model == "pp" else ():
+            snr = 0.0 if a + b == 0 else (a - b) ** 2 / (a + b)
+            pts.append({"model": "pp", "n": n, "d": (a + b) / 2.0, "a": a,
+                        "b": b, "snr": snr,
+                        "spec": PlantedPartition(a, b)} | knobs)
     return pts
 
 
-def _replicate_seeds(config, gi, r):
-    """(sampling seed, solver seed) of replicate r at grid point gi."""
-    return [config.seed, gi, r, 0], [config.seed, gi, r, 1]
-
-
-def _concentration_replicate(point, config, gi, r):
+def _concentration_replicate(point, sample_seed, solver_seed):
     """One sampled graph -> (deviation norm, tau used) or (nan, nan) on failure."""
-    sample_seed, solver_seed = _replicate_seeds(config, gi, r)
     g, labels = sample(point["spec"], point["n"], sample_seed)
     E = expected_matrix(point["spec"], labels)
     tau = math.nan
-    mode = config.regularization
+    mode = point["regularization"]
     if mode == "tau-laplacian":
-        tau = choose_tau(g, config.tau_rho) if g.m else 0.0
+        tau = choose_tau(g, point["tau_rho"]) if g.m else 0.0
         if tau <= 0:
             return math.nan, tau
         op = regularized_laplacian(g, tau) - expected_regularized_laplacian(E, tau)
         basis = _TAU_BASIS
     else:
         if mode == "degree-cap":
-            g, _ = degree_regularize(g, point["d"], config.cap_multiplier)
+            g, _ = degree_regularize(g, point["d"], point["cap_multiplier"])
         elif mode == "vertex-removal":
-            g = remove_high_degree(g, config.cap_multiplier * point["d"])
+            g = remove_high_degree(g, point["cap_multiplier"] * point["d"])
         op = SymmetricOperator.centered(g, E)
         basis = None
     try:
@@ -161,17 +191,17 @@ def _concentration_replicate(point, config, gi, r):
     return abs(pair.value), tau
 
 
-def _run_grid(points, config, replicate_fn, threads=None):
-    """Fill norms[gi, r] in parallel; slot indexing keeps output order fixed."""
-    R = config.R
-    out = np.full((len(points), R), np.nan)
-    taus = np.full((len(points), R), np.nan)
+def _run_grid(points, R, seed, replicate_fn, threads=None):
+    """Two (points x R) arrays of replicate_fn(point, sample_seed,
+    solver_seed) pairs, filled in parallel; slot [gi, r] uses the seeds
+    [seed, gi, r, 0] and [seed, gi, r, 1], so output order is fixed.
+    """
+    out = np.full((2, len(points), R), np.nan)
 
-    def job(args):
-        gi, r = args
-        val, tau = replicate_fn(points[gi], config, gi, r)
-        out[gi, r] = val
-        taus[gi, r] = tau
+    def job(task):
+        gi, r = task
+        out[:, gi, r] = replicate_fn(points[gi], [seed, gi, r, 0],
+                                     [seed, gi, r, 1])
 
     tasks = [(gi, r) for gi in range(len(points)) for r in range(R)]
     workers = threads or os.cpu_count() or 1
@@ -181,7 +211,7 @@ def _run_grid(points, config, replicate_fn, threads=None):
     else:
         for t in tasks:
             job(t)
-    return out, taus
+    return out[0], out[1]
 
 
 def _mean_stderr(values):
@@ -206,16 +236,16 @@ def _er_bounds(n, d):
     return vals
 
 
-def _applicable_bounds(point, config, tau_mean):
+def _applicable_bounds(point, tau_mean):
     """name -> bound value with all hidden constants at 1 (r = 1)."""
     n, d = point["n"], point["d"]
     vals = {"sqrt_d": math.sqrt(d) if d > 0 else math.nan}
-    if config.regularization == "tau-laplacian":
-        if isinstance(tau_mean, float) and tau_mean > 0:
+    if point["regularization"] == "tau-laplacian":
+        if _positive(tau_mean):
             vals["thm54"] = bounds_mod.regularized_laplacian_bound(1.0, tau_mean, d)
         return vals
     vals.update(_er_bounds(n, d))
-    if config.regularization == "degree-cap":
+    if point["regularization"] == "degree-cap":
         vals["thm51"] = bounds_mod.regularized_concentration_bound(1.0, d)
     return vals
 
@@ -230,31 +260,24 @@ def measure_concentration(config, threads=None):
     dropped from the averages and counted in a solver_failures row.
     """
     points = _grid_points(config)
-    norms, taus = _run_grid(points, config, _concentration_replicate, threads)
+    seed = config.seed
+    norms, taus = _run_grid(points, config.R, seed, _concentration_replicate,
+                            threads)
     records = []
     for gi, point in enumerate(points):
-        base = {k: point[k] for k in ("model", "n", "d", "a", "b", "snr")}
-        base["regularization"] = config.regularization
-        base["method"] = ""
-        base["seed"] = config.seed
         mean, stderr, used = _mean_stderr(norms[gi])
-        records.append(dict(base, statistic="deviation_norm",
-                            mean=mean, stderr=stderr, R=used))
+        records.append(_row(point, seed, "deviation_norm", mean, stderr, used))
         tau_mean = _mean_stderr(taus[gi])[0]
         if config.regularization == "tau-laplacian":
-            records.append(dict(base, statistic="tau",
-                                mean=tau_mean, stderr="", R=used))
+            records.append(_row(point, seed, "tau", tau_mean, "", used))
         if mean != "":
-            for name, bound in _applicable_bounds(point, config, tau_mean).items():
-                if not (isinstance(bound, float) and math.isfinite(bound) and bound > 0):
-                    continue
-                records.append(dict(base, statistic=f"ratio_{name}",
-                                    mean=mean / bound, stderr=stderr / bound,
-                                    R=used))
-        failures = int(np.sum(~np.isfinite(norms[gi])))
-        if failures:
-            records.append(dict(base, statistic="solver_failures",
-                                mean=failures, stderr="", R=config.R))
+            for name, bound in _applicable_bounds(point, tau_mean).items():
+                if _positive(bound):
+                    records.append(_row(point, seed, f"ratio_{name}",
+                                        mean / bound, stderr / bound, used))
+        if used < config.R:
+            records.append(_row(point, seed, "solver_failures",
+                                config.R - used, "", config.R))
     return ExperimentResult(records)
 
 
@@ -306,10 +329,7 @@ def eigenvector_study(n=50, a=5.0, b=0.1, rho=0.1, seed=0):
     tau = choose_tau(g, rho) if g.m else 0.0
     pairs_plain = top_eigs(laplacian(g), 3, which="largest-algebraic",
                            tol=1e-10, seed=[seed, 1], max_basis=n)
-    if tau > 0:
-        op_reg = regularized_laplacian(g, tau)
-    else:
-        op_reg = laplacian(g)
+    op_reg = regularized_laplacian(g, tau) if tau > 0 else laplacian(g)
     pairs_reg = top_eigs(op_reg, 3, which="largest-algebraic",
                          tol=1e-10, seed=[seed, 2], max_basis=n)
     cols = [_canonical_sign(p.vector) for p in pairs_plain]
@@ -328,30 +348,14 @@ def eigenvector_study(n=50, a=5.0, b=0.1, rho=0.1, seed=0):
 PHASE_METHODS = ("reg-adjacency", "reg-laplacian")
 
 
-@dataclass(frozen=True)
-class _PhaseConfig:
-    """What a phase replicate reads; the (a, b) grid lives in the points."""
-
-    R: int
-    tau_rho: float
-    cap_multiplier: float
-    seed: int
-
-    def __post_init__(self):
-        if self.R < 1:
-            raise ValueError("R must be at least 1")
-
-
-def _phase_replicate(point, config, gi, r):
-    sample_seed, solver_seed = _replicate_seeds(config, gi, r)
-    method = point["method"]
+def _phase_replicate(point, sample_seed, solver_seed):
     g, labels = sample(point["spec"], point["n"], sample_seed)
     try:
-        if method == "reg-adjacency":
-            capped, _ = degree_regularize(g, point["a"], config.cap_multiplier)
+        if point["method"] == "reg-adjacency":
+            capped, _ = degree_regularize(g, point["a"], point["cap_multiplier"])
             op = SymmetricOperator.from_graph(capped)
         else:
-            tau = choose_tau(g, config.tau_rho) if g.m else 0.0
+            tau = choose_tau(g, point["tau_rho"]) if g.m else 0.0
             if tau <= 0:
                 return math.nan, math.nan
             op = regularized_laplacian(g, tau)
@@ -373,18 +377,14 @@ def phase_sweep(d, snr_grid, n=4000, R=50, method="both", tau_rho=0.25,
     eigenvector of the degree-capped adjacency (cap 2a), and of the
     tau-regularized Laplacian with tau = tau_rho * mean degree.
     """
-    if method == "both":
-        methods = PHASE_METHODS
-    elif method in PHASE_METHODS:
-        methods = (method,)
-    else:
+    if method not in ("both", *PHASE_METHODS):
         raise ValueError(f"method must be 'both' or one of {PHASE_METHODS}")
+    methods = PHASE_METHODS if method == "both" else (method,)
     if d <= 0:
         raise ValueError("d must be positive")
-    config = _PhaseConfig(R=R, tau_rho=tau_rho, cap_multiplier=cap_multiplier,
-                          seed=seed)
-    points = []
-    infeasible = []
+    if R < 1:
+        raise ValueError("R must be at least 1")
+    points, infeasible = [], []
     for s in snr_grid:
         delta = math.sqrt(2.0 * d * s) / 2.0
         a, b = d + delta, d - delta
@@ -392,27 +392,16 @@ def phase_sweep(d, snr_grid, n=4000, R=50, method="both", tau_rho=0.25,
             pt = {"model": "pp", "n": int(n), "d": float(d), "a": a, "b": b,
                   "snr": float(s), "method": meth,
                   "regularization": "degree-cap" if meth == "reg-adjacency"
-                                    else "tau-laplacian"}
+                                    else "tau-laplacian",
+                  "tau_rho": tau_rho, "cap_multiplier": cap_multiplier}
             if b < 0 or a > n:
                 infeasible.append(pt)
             else:
-                pt["spec"] = PlantedPartition(a, b)
-                points.append(pt)
-    acc, _ = _run_grid(points, config, _phase_replicate, threads)
-    records = []
-    for gi, pt in enumerate(points):
-        mean, stderr, used = _mean_stderr(acc[gi])
-        records.append({k: pt[k] for k in
-                        ("model", "n", "d", "a", "b", "snr", "method",
-                         "regularization")}
-                       | {"statistic": "accuracy", "mean": mean,
-                          "stderr": stderr, "R": used, "seed": seed})
-    for pt in infeasible:
-        records.append({k: pt[k] for k in
-                        ("model", "n", "d", "a", "b", "snr", "method",
-                         "regularization")}
-                       | {"statistic": "infeasible", "mean": "", "stderr": "",
-                          "R": 0, "seed": seed})
+                points.append(pt | {"spec": PlantedPartition(a, b)})
+    acc, _ = _run_grid(points, R, seed, _phase_replicate, threads)
+    records = [_row(pt, seed, "accuracy", *_mean_stderr(acc[gi]))
+               for gi, pt in enumerate(points)]
+    records += [_row(pt, seed, "infeasible", "", "", 0) for pt in infeasible]
     records.sort(key=lambda rec: (rec["snr"], rec["method"]))
     return ExperimentResult(records)
 
@@ -421,8 +410,7 @@ def phase_sweep(d, snr_grid, n=4000, R=50, method="both", tau_rho=0.25,
 # Bound scorecard
 # ---------------------------------------------------------------------------
 
-def _scorecard_replicate(point, config, gi, r):
-    sample_seed, solver_seed = _replicate_seeds(config, gi, r)
+def _scorecard_replicate(point, sample_seed, solver_seed):
     g, labels = sample(point["spec"], point["n"], sample_seed)
     E = expected_matrix(point["spec"], labels)
     op = SymmetricOperator.centered(g, E)
@@ -440,32 +428,25 @@ def bound_scorecard(n_grid, d_grid, R=20, seed=0, threads=None):
     Per grid point: the measured norm, the Seginer max-column statistic, each
     bound's value, and the empirical/bound ratio.
     """
-    config = ExperimentConfig(model="er", n_grid=tuple(n_grid),
-                              d_grid=tuple(d_grid), R=R, seed=seed)
+    config = ExperimentConfig(model="er", n_grid=n_grid, d_grid=d_grid, R=R,
+                              seed=seed)
     points = _grid_points(config)
-    norms, segs = _run_grid(points, config, _scorecard_replicate, threads)
+    norms, segs = _run_grid(points, R, seed, _scorecard_replicate, threads)
     records = []
     for gi, point in enumerate(points):
-        base = {k: point[k] for k in ("model", "n", "d", "a", "b", "snr")}
-        base["regularization"] = "none"
-        base["method"] = ""
-        base["seed"] = config.seed
         mean, stderr, used = _mean_stderr(norms[gi])
         seg_mean, seg_stderr, _ = _mean_stderr(segs[gi])
-        records.append(dict(base, statistic="deviation_norm", mean=mean,
-                            stderr=stderr, R=used))
-        records.append(dict(base, statistic="seginer_stat", mean=seg_mean,
-                            stderr=seg_stderr, R=used))
+        records.append(_row(point, seed, "deviation_norm", mean, stderr, used))
+        records.append(_row(point, seed, "seginer_stat", seg_mean, seg_stderr,
+                            used))
         if mean == "":
             continue
         for name, bound in _er_bounds(point["n"], point["d"]).items():
-            records.append(dict(base, statistic=f"bound_{name}", mean=bound,
-                                stderr="", R=""))
-            if isinstance(bound, float) and math.isfinite(bound) and bound > 0:
-                records.append(dict(base, statistic=f"ratio_{name}",
-                                    mean=mean / bound, stderr=stderr / bound,
-                                    R=used))
-        if isinstance(seg_mean, float) and seg_mean > 0:
-            records.append(dict(base, statistic="ratio_seginer",
-                                mean=mean / seg_mean, stderr="", R=used))
+            records.append(_row(point, seed, f"bound_{name}", bound, "", ""))
+            if _positive(bound):
+                records.append(_row(point, seed, f"ratio_{name}", mean / bound,
+                                    stderr / bound, used))
+        if _positive(seg_mean):
+            records.append(_row(point, seed, "ratio_seginer",
+                                mean / seg_mean, "", used))
     return ExperimentResult(records)

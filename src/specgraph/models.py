@@ -296,6 +296,13 @@ def model_to_json(spec):
                        **{f.name: getattr(spec, f.name) for f in fields(spec)}})
 
 
+def _holds_bool(x):
+    """Whether a parsed JSON value is, or holds, true or false."""
+    if isinstance(x, dict):
+        x = list(x.values())
+    return isinstance(x, bool) or (isinstance(x, list) and any(map(_holds_bool, x)))
+
+
 def model_from_json(text):
     """Parse a spec written by model_to_json; a malformed one is a ValueError."""
     params = json.loads(text)
@@ -304,6 +311,8 @@ def model_from_json(text):
     kind = params.pop("model", None)
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
+    if _holds_bool(params):  # bool is an int subclass, so no check catches it
+        raise ValueError(f"bad {kind} spec: a boolean is not a number")
     try:
         return _KINDS[kind](**params)
     except TypeError as exc:  # missing, unknown or wrong-typed parameter
@@ -407,6 +416,26 @@ class ExpectedMatrix:
         return P
 
 
+def _block_form(spec, labels):
+    """(labels, B, theta) of a block model's E[A], theta None when all ones;
+    None for a dense-P model (LSM, IERM)."""
+    n = len(labels)
+    if isinstance(spec, ER):  # one block, whatever the labels
+        return np.ones(n, dtype=np.int64), np.array([[float(spec.p)]]), None
+    if isinstance(spec, PlantedPartition):
+        a, b = spec.a / n, spec.b / n
+        if max(a, b) > 1.0:
+            raise ValueError("a/n and b/n must be at most 1")
+        return labels, np.array([[a, b], [b, a]]), None
+    if isinstance(spec, SBM):
+        return labels, np.array(spec.B), None
+    if isinstance(spec, DCSBM):
+        if len(spec.theta) != n:
+            raise ValueError("theta length must equal the number of labels")
+        return labels, np.array(spec.B), np.array(spec.theta)
+    return None
+
+
 def expected_matrix(spec, labels):
     """E[A] for the given spec conditioned on the given labels.
 
@@ -415,17 +444,9 @@ def expected_matrix(spec, labels):
     """
     labels = np.asarray(labels, dtype=np.int64)
     n = len(labels)
-    if isinstance(spec, ER):
-        return ExpectedMatrix(np.ones(n, dtype=np.int64), [[spec.p]])
-    if isinstance(spec, PlantedPartition):
-        a, b = spec.a / n, spec.b / n
-        if max(a, b) > 1.0:
-            raise ValueError("a/n and b/n must be at most 1")
-        return ExpectedMatrix(labels, [[a, b], [b, a]])
-    if isinstance(spec, DCSBM):
-        return ExpectedMatrix(labels, spec.B, spec.theta)
-    if isinstance(spec, SBM):
-        return ExpectedMatrix(labels, spec.B)
+    block = _block_form(spec, labels)
+    if block is not None:
+        return ExpectedMatrix(*block)
     if isinstance(spec, (LSM, IERM)) and n > DENSE_LIMIT:
         raise ValueError(f"refusing a dense P for n={n} > {DENSE_LIMIT}")
     if isinstance(spec, LSM):
@@ -629,11 +650,9 @@ def sample(spec, n, seed):
         raise ValueError("n must be at least 1")
     rng = _rng(seed)
     labels = planted_labels(spec, n, rng)
-    E = expected_matrix(spec, labels)  # validates probabilities vs n
-    if isinstance(spec, (LSM, IERM)):
-        # a dense P is stored as B with one block per node
-        gi, gj = _sample_dense(E.B, rng)
+    block = _block_form(spec, labels)  # validates probabilities vs n
+    if block is None:  # a dense P is stored as B with one block per node
+        gi, gj = _sample_dense(expected_matrix(spec, labels).B, rng)
     else:
-        theta = E.theta if isinstance(spec, DCSBM) else None
-        gi, gj = _sample_block_model(n, labels, E.B, theta, rng)
+        gi, gj = _sample_block_model(n, *block, rng)
     return Graph(n, gi, gj, np.ones(len(gi))), labels

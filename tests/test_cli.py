@@ -63,6 +63,10 @@ def test_gen_spec_missing_key(tmp_path, capsys):
         ([1, 2], "JSON object"),
         ({"model": "sbm", "pi": [1.0], "B": 0.5}, "K x K"),
         ({"model": "pp", "a": 5, "b": 1, "extra": 3}, "'extra'"),  # unknown key
+        # JSON booleans are ints to Python; ER(p=True) would be the complete graph
+        ({"model": "er", "p": True}, "boolean"),
+        ({"model": "pp", "a": True, "b": False}, "boolean"),
+        ({"model": "lsm", "positions": [[True, False]]}, "boolean"),
     ]
     path = tmp_path / "spec.json"
     for doc, needle in docs:
@@ -234,17 +238,34 @@ def test_sweep_config_file(tmp_path, capsys):
 
 
 def test_sweep_config_unknown_key(tmp_path, capsys):
-    cfg = {"model": "er", "n_grid": [100], "d_grid": [3.0], "replicates": 3}
+    # each malformed config exits 2 with an error line naming the fault
+    base = {"model": "er", "n_grid": [100], "d_grid": [3.0]}
+    docs = [
+        (dict(base, replicates=3), "replicates"),  # unknown key
+        (dict(base, R=2.5), "R"),
+        (dict(base, R=True), "R"),
+        (dict(base, seed=1.5), "seed"),
+        (dict(base, tau_rho="a"), "tau_rho"),
+        (dict(base, cap_multiplier=None), "cap_multiplier"),
+        (dict(base, n_grid=[50.7]), "50.7"),
+        (dict(base, n_grid=5), "not iterable"),
+        ([base], "JSON object"),
+    ]
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    code, out, err = run(capsys, "sweep", "--config", str(path))
-    assert code == 2 and out == ""
-    assert "error:" in err and "replicates" in err
+    for doc, needle in docs:
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "sweep", "--config", str(path))
+        assert code == 2 and out == "", doc
+        assert "error:" in err and needle in err, (doc, err)
 
 
 def test_sweep_bad_grid(capsys):
     code, _, err = run(capsys, "sweep", "--n-grid", "100", "--d-grid", "")
     assert code == 2
+    for n_grid in ("0", "100,0", "-3"):
+        code, out, err = run(capsys, "sweep", "--n-grid", n_grid, "--d-grid", "2")
+        assert code == 2 and out == "", n_grid
+        assert "error:" in err and "at least 1" in err, (n_grid, err)
 
 
 def test_phase_csv(capsys):

@@ -59,6 +59,27 @@ def test_config_validation():
         ExperimentConfig(model="er", d_grid=(2.0,), regularization="trim")
 
 
+def test_config_normalizes_json_values():
+    # the lists json.load gives equal the tuples, and give the same CSV bytes
+    for model, grid in (("er", {"d_grid": (3.0,)}),
+                        ("pp", {"ab_grid": ((6.0, 1.0),)})):
+        tuples = ExperimentConfig(model=model, n_grid=(80,), R=2, seed=4, **grid)
+        lists = ExperimentConfig(model=model, n_grid=[80], R=2, seed=4,
+                                 **{k: [list(v) if isinstance(v, tuple) else v
+                                        for v in vals]
+                                    for k, vals in grid.items()})
+        assert lists == tuples and isinstance(lists.n_grid, tuple)
+        assert (measure_concentration(lists, threads=1).to_csv()
+                == measure_concentration(tuples, threads=1).to_csv())
+    ints = ExperimentConfig(model="pp", n_grid=(80,), ab_grid=[[6, 1]])
+    assert ints.ab_grid == ((6.0, 1.0),) and isinstance(ints.ab_grid[0][0], float)
+    bad = [{"R": True}, {"seed": False}, {"n_grid": (80.5,)}, {"n_grid": (0,)},
+           {"n_grid": (100, 0)}, {"d_grid": (True,)}, {"tau_rho": None}]
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            ExperimentConfig(**{"model": "er", "d_grid": (3.0,), **kwargs})
+
+
 def test_csv_formatting():
     rec = {"model": "er", "n": 100, "d": 1.0 / 3.0, "a": "", "b": "", "snr": "",
            "regularization": "none", "method": "", "statistic": "deviation_norm",
