@@ -238,10 +238,7 @@ def _cmd_bounds(args):
     for key in needed:
         val = getattr(args, key)
         if val is None:
-            if key in ("c", "r"):
-                val = 1.0
-            else:
-                raise ValueError(f"bound {name!r} needs --{key}")
+            raise ValueError(f"bound {name!r} needs --{key}")
         params[key] = val
     value = fn(params)
     print("%.17g" % value)
@@ -343,11 +340,11 @@ def build_parser():
                    choices=sorted(bounds_mod.BOUND_REGISTRY))
     p.add_argument("--d", type=float)
     p.add_argument("--n", type=int)
-    p.add_argument("--r", type=float)
+    p.add_argument("--r", type=float, default=1.0)
     p.add_argument("--tau", type=float)
     p.add_argument("--sigma", type=float)
     p.add_argument("--bigk", type=float, help="almost-sure entry bound K")
-    p.add_argument("--c", type=float, help="leading constant (default 1)")
+    p.add_argument("--c", type=float, default=1.0, help="leading constant (default 1)")
     p.set_defaults(fn=_cmd_bounds)
 
     return parser

@@ -94,10 +94,7 @@ def spectral_cluster(op, K=2, mode="laplacian-second-largest", seed=None):
         return kmeans(U, K, seed=seed)
     if K != 2:
         raise ValueError(f"mode {mode!r} is a two-community sign rule")
-    if mode == "adjacency-second-smallest":
-        pairs = top_eigs(op, 2, which="smallest-algebraic", seed=seed)
-        v2 = pairs[1].vector  # ascending order: index 1 is second smallest
-    else:
-        pairs = top_eigs(op, 2, which="largest-algebraic", seed=seed)
-        v2 = pairs[1].vector  # descending order: index 1 is second largest
-    return sign_partition(v2)
+    # pairs come in the order of `which`, so index 1 is the second one
+    which = ("smallest-algebraic" if mode == "adjacency-second-smallest"
+             else "largest-algebraic")
+    return sign_partition(top_eigs(op, 2, which=which, seed=seed)[1].vector)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -82,11 +83,19 @@ def _positive(x):
 def _number(name, x, integral=False):
     """x as an int (integral) or a finite float; a bool is neither."""
     kind = numbers.Integral if integral else numbers.Real
+    # false for nan, inf and an int too large for a float (math.isfinite overflows)
     if (isinstance(x, bool) or not isinstance(x, kind)
-            or not (integral or math.isfinite(x))):
+            or not (integral or abs(x) <= sys.float_info.max)):
         what = "an integer" if integral else "a finite number"
         raise ValueError(f"{name} must be {what}, got {x!r}")
     return int(x) if integral else float(x)
+
+
+def _ab(pair):
+    """An ab_grid entry as a pair of finite floats (a, b)."""
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ValueError(f"ab_grid entries must be [a, b] pairs, got {pair!r}")
+    return _number("a", pair[0]), _number("b", pair[1])
 
 
 @dataclass(frozen=True)
@@ -119,8 +128,7 @@ class ExperimentConfig:
             "seed": _number("seed", self.seed, True),
             "n_grid": tuple(_number("n", n, True) for n in self.n_grid),
             "d_grid": tuple(_number("d", d) for d in self.d_grid),
-            "ab_grid": tuple((_number("a", a), _number("b", b))
-                             for a, b in self.ab_grid),
+            "ab_grid": tuple(map(_ab, self.ab_grid)),
             "tau_rho": _number("tau_rho", self.tau_rho),
             "cap_multiplier": _number("cap_multiplier", self.cap_multiplier),
         }.items():
@@ -380,8 +388,10 @@ def phase_sweep(d, snr_grid, n=4000, R=50, method="both", tau_rho=0.25,
     if method not in ("both", *PHASE_METHODS):
         raise ValueError(f"method must be 'both' or one of {PHASE_METHODS}")
     methods = PHASE_METHODS if method == "both" else (method,)
-    if d <= 0:
-        raise ValueError("d must be positive")
+    if not (math.isfinite(d) and d > 0):
+        raise ValueError(f"d must be finite and positive, got {d!r}")
+    if not all(math.isfinite(s) and s >= 0 for s in snr_grid):
+        raise ValueError(f"snr values must be finite and nonnegative, got {snr_grid!r}")
     if R < 1:
         raise ValueError("R must be at least 1")
     points, infeasible = [], []

@@ -15,7 +15,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 import scipy.sparse as sp
 
-_TSV_FLOAT = "%.17g"
 # largest n with a dense n x n P (LSM, IERM): 4096^2 doubles are 128 MB
 DENSE_LIMIT = 4096
 
@@ -28,14 +27,16 @@ class Graph:
         i, j: edge endpoint arrays with i < j entrywise.
         w: edge weights in (0, 1]; freshly sampled graphs have weight 1.0.
 
-    Edges are kept lexicographically sorted by (i, j), which makes equality,
-    serialization, and regularization deterministic.
+    This class alone knows the edge layout.  Edges are kept sorted by the key
+    i*n + j, which makes equality, serialization and regularization
+    deterministic, and a duplicate pair is rejected.  incidence() is the one
+    symmetric layout; adjacency() and degree capping both read it.
     """
 
     def __init__(self, n, i, j, w):
-        i = np.array(i, dtype=np.int64)
-        j = np.array(j, dtype=np.int64)
-        w = np.array(w, dtype=np.float64)
+        i = np.asarray(i, dtype=np.int64)
+        j = np.asarray(j, dtype=np.int64)
+        w = np.asarray(w, dtype=np.float64)
         if n < 0:
             raise ValueError("n must be nonnegative")
         if not (len(i) == len(j) == len(w)):
@@ -44,16 +45,16 @@ class Graph:
             raise ValueError("edge endpoint out of range")
         if np.any(i >= j):
             raise ValueError("edges must satisfy i < j (no self-loops)")
-        # ER sampling and regularized copies arrive sorted already; the O(m)
-        # check costs far less than the lexsort it skips
-        ascending = (i[1:] > i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] > j[:-1]))
-        if not ascending.all():
-            order = np.lexsort((j, i))
-            i, j, w = i[order], j[order], w[order]
         self.n = int(n)
-        self.i = i
-        self.j = j
-        self.w = w
+        key = i * self.n + j
+        order = np.argsort(key)  # keys are unique once duplicates are out
+        dup = np.flatnonzero(np.diff(key[order]) == 0)
+        if len(dup):
+            e = order[dup[0]]
+            raise ValueError(f"duplicate edge pair ({i[e]}, {j[e]})")
+        self.i = i[order]
+        self.j = j[order]
+        self.w = w[order]
         self._csr = None
 
     @property
@@ -67,17 +68,26 @@ class Graph:
         d += np.bincount(self.j, weights=self.w, minlength=self.n)
         return d
 
+    def incidence(self):
+        """(indptr, neighbors, ids) of the symmetric adjacency, not cached.
+
+        Vertex v's neighbors, ascending, are neighbors[indptr[v]:indptr[v+1]],
+        and ids holds the index into i, j, w of each of those edges.
+        """
+        tails = np.concatenate([self.i, self.j])
+        heads = np.concatenate([self.j, self.i])
+        order = np.argsort(tails * self.n + heads)
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tails, minlength=self.n), out=indptr[1:])
+        return indptr, heads[order], np.tile(np.arange(self.m), 2)[order]
+
     def adjacency(self):
         """Symmetric CSR adjacency matrix (cached)."""
         if self._csr is None:
-            ii = np.concatenate([self.i, self.j])
-            jj = np.concatenate([self.j, self.i])
-            ww = np.concatenate([self.w, self.w])
-            self._csr = sp.csr_matrix((ww, (ii, jj)), shape=(self.n, self.n))
+            indptr, neighbors, ids = self.incidence()
+            self._csr = sp.csr_matrix((self.w[ids], neighbors, indptr),
+                                      shape=(self.n, self.n))
         return self._csr
-
-    def copy(self):
-        return Graph(self.n, self.i.copy(), self.j.copy(), self.w.copy())
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -98,10 +108,9 @@ class Graph:
             fh.write(self.format_tsv())
 
     def format_tsv(self):
-        lines = [f"# n={self.n}"]
-        for a, b, x in zip(self.i, self.j, self.w):
-            lines.append(f"{a}\t{b}\t{_TSV_FLOAT % x}")
-        return "\n".join(lines) + "\n"
+        return f"# n={self.n}\n" + "".join(
+            "%d\t%d\t%.17g\n" % e
+            for e in zip(self.i.tolist(), self.j.tolist(), self.w.tolist()))
 
     @classmethod
     def from_tsv(cls, path):
@@ -126,11 +135,7 @@ class Graph:
         bad = np.flatnonzero(~((ww > 0) & (ww <= 1)))  # nan fails both tests
         if len(bad):
             raise ValueError(f"edge weight must lie in (0, 1]: {lines[1 + bad[0]]!r}")
-        g = cls(n, ii, jj, ww)
-        dup = np.flatnonzero((g.i[1:] == g.i[:-1]) & (g.j[1:] == g.j[:-1]))
-        if len(dup):
-            raise ValueError(f"duplicate edge pair ({g.i[dup[0]]}, {g.j[dup[0]]})")
-        return g
+        return cls(n, ii, jj, ww)
 
 
 def write_labels(path, labels):

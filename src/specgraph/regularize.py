@@ -48,15 +48,6 @@ class RegularizationReport:
         })
 
 
-def _incidence(graph):
-    """For each vertex, the edge ids incident to it (CSR-style)."""
-    endpoints = np.concatenate([graph.i, graph.j])
-    eids = np.concatenate([np.arange(graph.m), np.arange(graph.m)])
-    order = np.argsort(endpoints, kind="stable")
-    bounds = np.searchsorted(endpoints[order], np.arange(graph.n + 1))
-    return eids[order], bounds
-
-
 def degree_regularize(graph, d_hat, cap_multiplier=2.0):
     """Cap all weighted degrees at cap_multiplier * d_hat by down-weighting.
 
@@ -76,7 +67,7 @@ def degree_regularize(graph, d_hat, cap_multiplier=2.0):
     deg = graph.degrees()
     pre_max = float(deg.max()) if n else 0.0
     factors = np.ones(n)
-    by_vertex, bounds = _incidence(graph)
+    bounds, _, by_vertex = graph.incidence()
     slack = 1.0 + 1e-12
     passes = 0
     while passes < n:

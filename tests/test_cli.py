@@ -249,6 +249,8 @@ def test_sweep_config_unknown_key(tmp_path, capsys):
         (dict(base, cap_multiplier=None), "cap_multiplier"),
         (dict(base, n_grid=[50.7]), "50.7"),
         (dict(base, n_grid=5), "not iterable"),
+        (dict(base, tau_rho=10 ** 400), "tau_rho"),  # too large for a float
+        ({"model": "pp", "n_grid": [100], "ab_grid": [[1, 2, 3]]}, "ab_grid"),
         ([base], "JSON object"),
     ]
     path = tmp_path / "cfg.json"
@@ -278,6 +280,16 @@ def test_phase_csv(capsys):
     body = [line.split(",") for line in lines[1:]]
     stats = {row[8] for row in body}
     assert stats == {"accuracy", "infeasible"}  # snr=50 needs b < 0
+
+
+def test_phase_bad_inputs(capsys):
+    # each bad value exits 2 before any replicate, naming the flag it came from
+    cases = [(("--snr", s), "snr") for s in ("-1", "nan", "inf", "0,-inf")]
+    cases += [(("--snr", "1", "--d", d), "d must") for d in ("nan", "0", "inf")]
+    for flags, needle in cases:
+        code, out, err = run(capsys, "phase", *flags, "--n", "60", "--R", "1")
+        assert code == 2 and out == "", flags
+        assert "error:" in err and needle in err, (flags, err)
 
 
 def test_fig_eigvec_shape(capsys):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -354,6 +355,8 @@ def test_graph_validation():
         Graph(4, [0, 1], [1], [1.0])  # ragged arrays
     with pytest.raises(ValueError, match="n must be nonnegative"):
         Graph(-3, [], [], [])
+    with pytest.raises(ValueError, match=r"duplicate edge pair \(0, 1\)"):
+        Graph(4, [0, 0], [1, 1], [1.0, 0.5])
     with pytest.raises(ValueError):
         sample(ER(0.5), 0, 1)
 
@@ -513,3 +516,22 @@ def weighted_graphs(draw):
 @given(weighted_graphs())
 def test_tsv_round_trip_arbitrary_weights_property(g):
     assert Graph.parse_tsv(g.format_tsv()) == g
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_graphs())
+def test_adjacency_and_incidence_layout(g):
+    ref = sp.csr_matrix((np.concatenate([g.w, g.w]),
+                         (np.concatenate([g.i, g.j]), np.concatenate([g.j, g.i]))),
+                        shape=(g.n, g.n))
+    A = g.adjacency()
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(A, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    indptr, neighbors, ids = g.incidence()
+    for v in range(g.n):
+        es = ids[indptr[v]:indptr[v + 1]]
+        nbrs = neighbors[indptr[v]:indptr[v + 1]]
+        assert sorted(es) == np.flatnonzero((g.i == v) | (g.j == v)).tolist()
+        assert np.array_equal(nbrs, np.where(g.i[es] == v, g.j[es], g.i[es]))
+        assert np.all(np.diff(nbrs) > 0)
