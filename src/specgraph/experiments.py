@@ -12,14 +12,26 @@ Reproducibility scheme: _run_grid derives each replicate's streams from
 sampling and one for the eigensolver.  Replicates land in
 preallocated slots keyed by those indices, and aggregation walks the slots in
 a fixed order, so results are byte-identical for any thread count.
+
+BLAS rule: a grid runs with every loaded OpenBLAS held at one thread, for any
+pool size, and the previous counts come back when it ends.  Parallelism comes
+from the replicate pool alone, so the cores are not oversubscribed.  The BLAS
+thread count sets the reduction order, which moves the last digits at
+n = 1e5, so pinning it also makes the CSV bytes independent of
+OPENBLAS_NUM_THREADS and the host's core count.  One-off solves outside a
+grid (the CLI's detect, reg and fig-eigvec) keep OpenBLAS's own setting.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import math
 import numbers
 import os
 import sys
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -199,11 +211,78 @@ def _concentration_replicate(point, sample_seed, solver_seed):
     return abs(pair.value), tau
 
 
+_OPENBLAS_SYMBOLS = tuple((f"{prefix}_get_num_threads{suffix}",
+                           f"{prefix}_set_num_threads{suffix}")
+                          for prefix in ("scipy_openblas", "openblas")
+                          for suffix in ("64_", ""))
+
+
+@functools.cache
+def _openblas_controls():
+    """(get, set) thread-count functions of each OpenBLAS that the numpy and
+    scipy wheels bundle under <package>.libs; empty where none is found."""
+    import scipy
+
+    controls = []
+    for pkg in (np, scipy):
+        libdir = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)),
+                              pkg.__name__ + ".libs")
+        for path in sorted(glob.glob(os.path.join(libdir, "*openblas*.so*"))):
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:
+                continue
+            for get_name, set_name in _OPENBLAS_SYMBOLS:
+                if hasattr(lib, get_name) and hasattr(lib, set_name):
+                    get, put = getattr(lib, get_name), getattr(lib, set_name)
+                    get.argtypes, get.restype = (), ctypes.c_int
+                    put.argtypes, put.restype = (ctypes.c_int,), None
+                    controls.append((get, put))
+                    break
+    return tuple(controls)
+
+
+class _SingleThreadedBlas:
+    """Holds every OpenBLAS of _openblas_controls at one thread while entered.
+
+    Grids may overlap in different user threads: the first one in saves the
+    counts and pins them, the last one out restores them.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._restore = ()
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._restore = [(put, get()) for get, put in _openblas_controls()]
+                for put, _ in self._restore:
+                    put(1)
+            self._depth += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for put, count in self._restore:
+                    put(count)
+
+
+_single_threaded_blas = _SingleThreadedBlas()
+
+
 def _run_grid(points, R, seed, replicate_fn, threads=None):
     """Two (points x R) arrays of replicate_fn(point, sample_seed,
     solver_seed) pairs, filled in parallel; slot [gi, r] uses the seeds
     [seed, gi, r, 0] and [seed, gi, r, 1], so output order is fixed.
+
+    threads is None (one worker per core) or an integer >= 1.  BLAS stays at
+    one thread for the whole grid, whatever the pool size (module docstring).
     """
+    if threads is not None and _number("threads", threads, integral=True) < 1:
+        raise ValueError(f"threads must be at least 1, got {threads!r}")
     out = np.full((2, len(points), R), np.nan)
 
     def job(task):
@@ -213,12 +292,13 @@ def _run_grid(points, R, seed, replicate_fn, threads=None):
 
     tasks = [(gi, r) for gi in range(len(points)) for r in range(R)]
     workers = threads or os.cpu_count() or 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(job, tasks))
-    else:
-        for t in tasks:
-            job(t)
+    with _single_threaded_blas:
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(job, tasks))
+        else:
+            for t in tasks:
+                job(t)
     return out[0], out[1]
 
 
@@ -392,6 +472,11 @@ def phase_sweep(d, snr_grid, n=4000, R=50, method="both", tau_rho=0.25,
         raise ValueError(f"d must be finite and positive, got {d!r}")
     if not all(math.isfinite(s) and s >= 0 for s in snr_grid):
         raise ValueError(f"snr values must be finite and nonnegative, got {snr_grid!r}")
+    if not 0 < tau_rho <= 1:
+        raise ValueError(f"tau_rho must lie in (0, 1], got {tau_rho!r}")
+    if not (math.isfinite(cap_multiplier) and cap_multiplier > 0):
+        raise ValueError(
+            f"cap_multiplier must be finite and positive, got {cap_multiplier!r}")
     if R < 1:
         raise ValueError("R must be at least 1")
     points, infeasible = [], []

@@ -19,6 +19,13 @@ from .models import Graph
 from .spectral import SymmetricOperator
 
 
+def _check(name, value, zero_ok=False):
+    """Raise unless value is finite and positive (or zero, where zero_ok)."""
+    if not (math.isfinite(value) and (value > 0 or zero_ok and value == 0)):
+        kind = "nonnegative" if zero_ok else "positive"
+        raise ValueError(f"{name} must be finite and {kind}, got {value!r}")
+
+
 @dataclass
 class RegularizationReport:
     """What degree capping touched and how hard.
@@ -57,10 +64,8 @@ def degree_regularize(graph, d_hat, cap_multiplier=2.0):
     clean to absorb floating-point drift.  Edges not incident to a touched
     vertex are returned unchanged.
     """
-    if d_hat <= 0:
-        raise ValueError("d_hat must be positive")
-    if cap_multiplier <= 0:
-        raise ValueError("cap_multiplier must be positive")
+    _check("d_hat", d_hat)
+    _check("cap_multiplier", cap_multiplier)
     cap = cap_multiplier * d_hat
     n = graph.n
     w = graph.w.copy()
@@ -109,8 +114,7 @@ def remove_high_degree(graph, threshold):
     The vertex set is preserved; rows of offenders become all-zero.  Surviving
     vertices can keep degrees up to the threshold.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    _check("threshold", threshold)
     deg = graph.degrees()
     bad = deg > threshold
     keep = ~(bad[graph.i] | bad[graph.j])
@@ -127,16 +131,14 @@ def laplacian(graph):
 
 def tau_regularize(graph, tau):
     """A_tau = A + (tau/n) 11^T as a matrix-free operator (never densified)."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    _check("tau", tau, zero_ok=True)
     return SymmetricOperator.compose(graph.n, sparse=graph.adjacency(),
                                      rank_one=tau / graph.n)
 
 
 def regularized_laplacian(graph, tau):
     """L(A_tau): diagonal scaling (d_i + tau)^{-1/2} around A + (tau/n) 11^T."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    _check("tau", tau, zero_ok=True)
     deg = graph.degrees()
     if tau == 0 and np.any(deg == 0):
         raise ValueError("tau = 0 requires a graph without isolated vertices")
@@ -147,8 +149,7 @@ def regularized_laplacian(graph, tau):
 
 def expected_regularized_laplacian(expected, tau):
     """L(E[A] + (tau/n) 11^T), the population counterpart of L(A_tau)."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    _check("tau", tau, zero_ok=True)
     rows = expected.row_sums()
     if tau == 0 and np.any(rows <= 0):
         raise ValueError("tau = 0 requires positive expected degrees")

@@ -286,10 +286,32 @@ def test_phase_bad_inputs(capsys):
     # each bad value exits 2 before any replicate, naming the flag it came from
     cases = [(("--snr", s), "snr") for s in ("-1", "nan", "inf", "0,-inf")]
     cases += [(("--snr", "1", "--d", d), "d must") for d in ("nan", "0", "inf")]
+    cases += [(("--snr", "1", "--tau-rho", r), "tau_rho must") for r in ("nan", "0", "2")]
     for flags, needle in cases:
         code, out, err = run(capsys, "phase", *flags, "--n", "60", "--R", "1")
         assert code == 2 and out == "", flags
         assert "error:" in err and needle in err, (flags, err)
+
+
+def test_nan_cap_multiplier_exits_2(tmp_path, capsys):
+    # a NaN cap compares false against every degree, so it used to cap nothing
+    src = tmp_path / "g.tsv"
+    src.write_text(star_tsv())
+    for argv in (("reg", "--in", str(src), "--mode", "cap"),
+                 ("phase", "--snr", "1", "--d", "2", "--n", "60", "--R", "1")):
+        code, out, err = run(capsys, *argv, "--cap-multiplier", "nan")
+        assert code == 2 and out == "", argv
+        assert "error: cap_multiplier must be finite and positive, got nan" in err
+
+
+def test_threads_must_be_positive(capsys):
+    # 0 used to mean "all cores" and a negative count ran serially
+    for cmd in (("sweep", "--n-grid", "50", "--d-grid", "2"),
+                ("phase", "--snr", "1", "--d", "2", "--n", "60")):
+        for threads in ("0", "-3"):
+            code, out, err = run(capsys, *cmd, "--R", "1", "--threads", threads)
+            assert code == 2 and out == "", (cmd, threads)
+            assert f"error: threads must be at least 1, got {threads}" in err
 
 
 def test_fig_eigvec_shape(capsys):

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import specgraph
+from specgraph import experiments
 from specgraph.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -156,6 +162,110 @@ def test_thread_count_invariance():
     assert serial == pooled
 
 
+def test_sweep_bytes_independent_of_blas_threads():
+    # At n = 1e5 the BLAS thread count used to change the last digits of the
+    # CSV; grids now pin BLAS to one thread, so the environment cannot matter.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(specgraph.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (root, env.get("PYTHONPATH")) if p)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    args = [sys.executable, "-m", "specgraph.cli", "sweep", "--n-grid", "100000",
+            "--d-grid", "2", "--R", "2", "--reg", "none", "--seed", "0",
+            "--threads", "2"]
+    procs = [subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=child_env)
+             for child_env in (env, env | {"OPENBLAS_NUM_THREADS": "1"})]
+    outs = [proc.communicate(timeout=300) for proc in procs]
+    for proc, (_, err) in zip(procs, outs):
+        assert proc.returncode == 0, err.decode()
+    assert outs[0][0] == outs[1][0]
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread pin of the grid harness
+# ---------------------------------------------------------------------------
+
+def blas_counts(controls):
+    return [get() for get, _ in controls]
+
+
+@pytest.fixture
+def controls():
+    """The OpenBLAS thread controls, each set to 2 threads for the test."""
+    found = experiments._openblas_controls()
+    if not found:
+        pytest.skip("no OpenBLAS thread controls in this build")
+    before = blas_counts(found)
+    for _, put in found:
+        put(2)
+    yield found
+    for (_, put), count in zip(found, before):
+        put(count)
+
+
+def test_grid_pins_blas_to_one_thread(controls):
+    for threads in (1, 2):
+        seen = []
+
+        def replicate(point, sample_seed, solver_seed):
+            seen.append(blas_counts(controls))
+            return 0.0, 0.0
+
+        experiments._run_grid([{}, {}], 3, 0, replicate, threads)
+        assert seen == [[1] * len(controls)] * 6
+        assert blas_counts(controls) == [2] * len(controls)
+
+
+def test_grid_restores_blas_when_a_replicate_raises(controls):
+    def replicate(point, sample_seed, solver_seed):
+        raise RuntimeError("replicate failed")
+
+    for threads in (1, 2):
+        with pytest.raises(RuntimeError, match="replicate failed"):
+            experiments._run_grid([{}], 2, 0, replicate, threads)
+        assert blas_counts(controls) == [2] * len(controls)
+
+
+def test_overlapping_grids_restore_blas_when_both_end(controls):
+    inside, release = threading.Event(), threading.Event()
+
+    def held(point, sample_seed, solver_seed):
+        inside.set()
+        release.wait(60)
+        return 0.0, 0.0
+
+    first = threading.Thread(target=experiments._run_grid,
+                             args=([{}], 1, 0, held, 1))
+    first.start()
+    try:
+        assert inside.wait(60)
+        experiments._run_grid([{}], 2, 0, lambda *a: (0.0, 0.0), 2)
+        assert blas_counts(controls) == [1] * len(controls)  # first still runs
+    finally:
+        release.set()
+        first.join()
+    assert blas_counts(controls) == [2] * len(controls)
+
+
+def test_grid_without_blas_controls_leaves_blas_alone(controls, monkeypatch):
+    monkeypatch.setattr(experiments, "_openblas_controls", lambda: ())
+    seen = []
+
+    def replicate(point, sample_seed, solver_seed):
+        seen.append(blas_counts(controls))
+        return 0.0, 0.0
+
+    experiments._run_grid([{}], 2, 0, replicate, 1)
+    assert seen == [[2] * len(controls)] * 2
+
+
+def test_grid_threads_validation():
+    for threads in (0, -3, 1.5, True, "2"):
+        with pytest.raises(ValueError, match="threads"):
+            experiments._run_grid([{}], 1, 0, lambda *a: (0.0, 0.0), threads)
+
+
 def test_seed_changes_output():
     base = dict(model="er", n_grid=(100,), d_grid=(4.0,), R=3)
     one = measure_concentration(ExperimentConfig(seed=1, **base), threads=1)
@@ -252,6 +362,11 @@ def test_phase_sweep_validation():
         phase_sweep(4.0, (1.0,), method="oracle")
     with pytest.raises(ValueError):
         phase_sweep(0.0, (1.0,))
+    for knob, value in [("tau_rho", math.nan), ("tau_rho", 0.0), ("tau_rho", 1.5),
+                        ("cap_multiplier", math.nan), ("cap_multiplier", math.inf),
+                        ("cap_multiplier", 0.0)]:
+        with pytest.raises(ValueError, match=knob):
+            phase_sweep(4.0, (1.0,), n=60, R=1, **{knob: value})
 
 
 def test_phase_sweep_rejects_zero_replicates():

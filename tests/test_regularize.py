@@ -94,6 +94,11 @@ def test_cap_validation():
         degree_regularize(g, 0.0)
     with pytest.raises(ValueError):
         degree_regularize(g, 1.0, cap_multiplier=-2.0)
+    # a NaN cap would compare false everywhere and cap nothing
+    for d_hat, mult in [(math.nan, 2.0), (math.inf, 2.0), (1.0, math.nan),
+                        (1.0, math.inf), (1.0, -math.inf)]:
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            degree_regularize(g, d_hat, mult)
 
 
 def test_cap_report_json_round_trips():
@@ -134,6 +139,9 @@ def test_remove_empty_and_validation():
     assert remove_high_degree(g, 1.0).m == 0
     with pytest.raises(ValueError):
         remove_high_degree(g, 0.0)
+    for threshold in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            remove_high_degree(star(9), threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +176,9 @@ def test_tau_regularize_dense_form():
     M = tau_regularize(g, 2.0).to_dense()
     assert np.allclose(M, A + 0.5 * np.ones((4, 4)), atol=1e-14)
     assert np.allclose(tau_regularize(g, 0.0).to_dense(), A, atol=1e-15)
-    with pytest.raises(ValueError):
-        tau_regularize(g, -1.0)
+    for tau in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tau must be finite and nonnegative"):
+            tau_regularize(g, tau)
 
 
 def test_tau_regularize_empty_graph_full_shift():
@@ -211,8 +220,9 @@ def test_regularized_laplacian_validation():
     g = Graph(3, [0], [1], [1.0])  # vertex 2 isolated
     with pytest.raises(ValueError):
         regularized_laplacian(g, 0.0)
-    with pytest.raises(ValueError):
-        regularized_laplacian(g, -0.5)
+    for tau in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tau must be finite and nonnegative"):
+            regularized_laplacian(g, tau)
     regularized_laplacian(g, 0.1)  # any tau > 0 is fine
 
 
@@ -226,6 +236,9 @@ def test_expected_regularized_laplacian_dense_agreement():
     D = P.sum(axis=1) + tau
     ref = (P + tau / 20.0) / np.sqrt(np.outer(D, D))
     assert np.allclose(op.to_dense(), ref, atol=1e-13)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tau must be finite and nonnegative"):
+            expected_regularized_laplacian(E, bad)
 
 
 # ---------------------------------------------------------------------------
