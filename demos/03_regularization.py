@@ -32,8 +32,9 @@ print()
 grid = dict(model="er", n_grid=(1000, 10000, 100000), d_grid=(2.0,), R=5, seed=0)
 plain = measure_concentration(ExperimentConfig(**grid))
 capped = measure_concentration(ExperimentConfig(regularization="degree-cap", **grid))
-# the Laplacian deviation spectrum crowds its edge as n grows, so the largest
-# sizes can exhaust the solver basis; a smaller grid keeps this demo brisk
+# the Laplacian deviation spectrum crowds its edge as n grows, so each n = 1e5
+# solve converges only after hundreds of matvecs; a smaller grid keeps this
+# demo brisk
 tau_grid = dict(grid, n_grid=(1000, 10000))
 tau_reg = measure_concentration(ExperimentConfig(regularization="tau-laplacian",
                                                  **tau_grid))

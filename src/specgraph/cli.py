@@ -129,14 +129,12 @@ def _cmd_reg(args):
         out = remove_high_degree(g, threshold)
         report["threshold"] = threshold
         report["removed"] = int(np.sum(deg > threshold))
-    elif args.mode == "tau":
+    else:  # tau; argparse's choices admit no other mode
         # rank-one shift is virtual: the graph passes through unchanged and
         # downstream consumers apply tau themselves
         out = g
         report["tau"] = choose_tau(g, args.rho)
         report["rho"] = args.rho
-    else:
-        raise ValueError(f"unknown mode {args.mode!r}")
     report["edges_out"] = out.m
     _write_text(args.out, out.format_tsv())
     stream = sys.stdout if args.out is not None else sys.stderr
@@ -229,10 +227,7 @@ def _cmd_phase(args):
 
 
 def _cmd_bounds(args):
-    name = args.bound
-    if name not in bounds_mod.BOUND_REGISTRY:
-        raise ValueError(f"unknown bound {name!r}; choose from "
-                         f"{sorted(bounds_mod.BOUND_REGISTRY)}")
+    name = args.bound  # argparse's choices admit only registered bounds
     fn, needed = bounds_mod.BOUND_REGISTRY[name]
     params = {}
     for key in needed:

@@ -8,7 +8,7 @@ import numpy as np
 from scipy.cluster.vq import kmeans2, vq
 from scipy.optimize import linear_sum_assignment
 
-from .spectral import top_eigs
+from .spectral import _DEFAULT_SEED, top_eigs
 
 MODES = (
     "adjacency-second-smallest",
@@ -53,12 +53,13 @@ def kmeans(X, K, seed=None):
     """Lowest-inertia of _RESTARTS k-means++ runs on scipy's kmeans2; labels in {1..K}.
 
     k-means++ seeding: Arthur & Vassilvitskii, SODA 2007.  All restarts draw
-    from one generator, so the labels are fixed by the seed.
+    from one generator, so the labels are fixed by the seed; seed=None means
+    the same fixed default that top_eigs uses.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or len(X) < K:
         raise ValueError("need at least K rows to cluster")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_DEFAULT_SEED if seed is None else seed)
     best_assign = None
     best_inertia = np.inf
     with warnings.catch_warnings():

@@ -19,7 +19,7 @@ from the replicate pool alone, so the cores are not oversubscribed.  The BLAS
 thread count sets the reduction order, which moves the last digits at
 n = 1e5, so pinning it also makes the CSV bytes independent of
 OPENBLAS_NUM_THREADS and the host's core count.  One-off solves outside a
-grid (the CLI's detect, reg and fig-eigvec) keep OpenBLAS's own setting.
+grid (the CLI's detect and fig-eigvec) keep OpenBLAS's own setting.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from . import bounds as bounds_mod
 from .detect import misclassification_rate, sign_partition
 from .models import ER, PlantedPartition, expected_matrix, sample
 from .regularize import (
+    _check,
     choose_tau,
     degree_regularize,
     expected_regularized_laplacian,
@@ -66,8 +67,6 @@ _TAU_BASIS = 48
 
 
 def _fmt(x):
-    if x is None or x == "":
-        return ""
     if isinstance(x, str):
         return x
     if isinstance(x, (int, np.integer)):
@@ -145,6 +144,8 @@ class ExperimentConfig:
             "cap_multiplier": _number("cap_multiplier", self.cap_multiplier),
         }.items():
             object.__setattr__(self, name, value)
+        _check("tau_rho", self.tau_rho, at_most=1.0)
+        _check("cap_multiplier", self.cap_multiplier)
         if self.R < 1:
             raise ValueError("R must be at least 1")
         if not self.n_grid or min(self.n_grid) < 1:
@@ -153,6 +154,18 @@ class ExperimentConfig:
             raise ValueError("er sweeps need a d grid")
         if self.model == "pp" and len(self.ab_grid) == 0:
             raise ValueError("pp sweeps need an (a, b) grid")
+        # what every replicate would reject, but only after sampling its graph
+        capped = self.regularization in ("degree-cap", "vertex-removal")
+        if capped and self.model == "er" and 0 in self.d_grid:
+            raise ValueError(f"d_grid must be positive under {self.regularization}, "
+                             f"got 0.0")
+        for a, b in self.ab_grid if self.model == "pp" else ():
+            if capped and a + b == 0:
+                raise ValueError(f"ab_grid needs a + b > 0 under "
+                                 f"{self.regularization}, got {[a, b]}")
+            if max(a, b) > min(self.n_grid):
+                raise ValueError(f"ab_grid entry {[a, b]} exceeds n = "
+                                 f"{min(self.n_grid)} of n_grid")
 
 
 @dataclass
@@ -292,13 +305,9 @@ def _run_grid(points, R, seed, replicate_fn, threads=None):
 
     tasks = [(gi, r) for gi in range(len(points)) for r in range(R)]
     workers = threads or os.cpu_count() or 1
-    with _single_threaded_blas:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(job, tasks))
-        else:
-            for t in tasks:
-                job(t)
+    # map cancels the queued tasks once a result raises
+    with _single_threaded_blas, ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(job, tasks))
     return out[0], out[1]
 
 
@@ -468,15 +477,13 @@ def phase_sweep(d, snr_grid, n=4000, R=50, method="both", tau_rho=0.25,
     if method not in ("both", *PHASE_METHODS):
         raise ValueError(f"method must be 'both' or one of {PHASE_METHODS}")
     methods = PHASE_METHODS if method == "both" else (method,)
-    if not (math.isfinite(d) and d > 0):
-        raise ValueError(f"d must be finite and positive, got {d!r}")
-    if not all(math.isfinite(s) and s >= 0 for s in snr_grid):
-        raise ValueError(f"snr values must be finite and nonnegative, got {snr_grid!r}")
-    if not 0 < tau_rho <= 1:
-        raise ValueError(f"tau_rho must lie in (0, 1], got {tau_rho!r}")
-    if not (math.isfinite(cap_multiplier) and cap_multiplier > 0):
-        raise ValueError(
-            f"cap_multiplier must be finite and positive, got {cap_multiplier!r}")
+    n, R, seed = (_number(name, x, integral=True)
+                  for name, x in (("n", n), ("R", R), ("seed", seed)))
+    _check("d", d)
+    for s in snr_grid:
+        _check("snr", s, zero_ok=True)
+    _check("tau_rho", tau_rho, at_most=1.0)
+    _check("cap_multiplier", cap_multiplier)
     if R < 1:
         raise ValueError("R must be at least 1")
     points, infeasible = [], []
@@ -484,7 +491,7 @@ def phase_sweep(d, snr_grid, n=4000, R=50, method="both", tau_rho=0.25,
         delta = math.sqrt(2.0 * d * s) / 2.0
         a, b = d + delta, d - delta
         for meth in methods:
-            pt = {"model": "pp", "n": int(n), "d": float(d), "a": a, "b": b,
+            pt = {"model": "pp", "n": n, "d": float(d), "a": a, "b": b,
                   "snr": float(s), "method": meth,
                   "regularization": "degree-cap" if meth == "reg-adjacency"
                                     else "tau-laplacian",

@@ -178,8 +178,9 @@ class PlantedPartition:
     b: float
 
     def __post_init__(self):
-        if self.a < 0 or self.b < 0:
-            raise ValueError("a and b must be nonnegative")
+        for name, x in (("a", self.a), ("b", self.b)):
+            if not 0 <= x < np.inf:  # false for nan
+                raise ValueError(f"{name} must be finite and nonnegative, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -192,16 +193,17 @@ class SBM:
     def __post_init__(self):
         pi = np.asarray(self.pi, dtype=np.float64)
         B = np.asarray(self.B, dtype=np.float64)
-        if pi.ndim != 1 or len(pi) == 0 or np.any(pi < 0):
-            raise ValueError("pi must be a nonnegative vector")
-        if abs(pi.sum() - 1.0) > 1e-9:
+        # each test is written so that nan fails it
+        if pi.ndim != 1 or len(pi) == 0 or not np.all((pi >= 0) & np.isfinite(pi)):
+            raise ValueError("pi must be a finite nonnegative vector")
+        if not abs(pi.sum() - 1.0) <= 1e-9:
             raise ValueError("pi must sum to 1")
         if B.shape != (len(pi), len(pi)):
             raise ValueError("B must be K x K for K = len(pi)")
+        if not np.all((B >= 0) & (B <= 1)):
+            raise ValueError("entries of B must lie in [0, 1]")
         if not np.allclose(B, B.T, atol=1e-12):
             raise ValueError("B must be symmetric")
-        if B.min() < 0 or B.max() > 1:
-            raise ValueError("entries of B must lie in [0, 1]")
         object.__setattr__(self, "pi", tuple(float(x) for x in pi))
         object.__setattr__(self, "B", tuple(tuple(float(x) for x in row) for row in B))
 
@@ -223,8 +225,8 @@ class DCSBM:
         object.__setattr__(self, "pi", base.pi)
         object.__setattr__(self, "B", base.B)
         theta = np.asarray(self.theta, dtype=np.float64)
-        if theta.ndim != 1 or np.any(theta <= 0):
-            raise ValueError("theta must be a positive vector")
+        if theta.ndim != 1 or not np.all((theta > 0) & np.isfinite(theta)):
+            raise ValueError("theta must be a finite positive vector")
         # any label assignment is reachable under i.i.d. pi labels, so the
         # product constraint must hold for the two largest theta values
         # against the largest reachable block probability
@@ -273,12 +275,12 @@ class IERM:
 
     def __post_init__(self):
         P = np.asarray(self.P, dtype=np.float64)
-        if P.ndim != 2 or P.shape[0] != P.shape[1]:
-            raise ValueError("P must be square")
+        if P.ndim != 2 or P.shape[0] != P.shape[1] or P.size == 0:
+            raise ValueError("P must be a nonempty square matrix")
+        if not np.all((P >= 0) & (P <= 1)):  # false for nan
+            raise ValueError("entries of P must lie in [0, 1]")
         if not np.allclose(P, P.T, atol=1e-12):
             raise ValueError("P must be symmetric")
-        if P.min() < 0 or P.max() > 1:
-            raise ValueError("entries of P must lie in [0, 1]")
         if np.any(np.abs(np.diag(P)) > 0):
             raise ValueError("P must have a zero diagonal")
         object.__setattr__(self, "P", tuple(tuple(float(v) for v in row) for row in P))
@@ -411,9 +413,9 @@ class ExpectedMatrix:
         np.fill_diagonal(M, top * second * np.diag(self.B))
         return float(max(0.0, M.max()))
 
-    def to_dense(self, limit=DENSE_LIMIT):
-        if self.n > limit:
-            raise ValueError(f"refusing to densify n={self.n} > {limit}")
+    def to_dense(self):
+        if self.n > DENSE_LIMIT:
+            raise ValueError(f"refusing to densify n={self.n} > {DENSE_LIMIT}")
         c = self._c
         P = np.outer(self.theta, self.theta)
         P *= self.B[np.ix_(c, c)]
@@ -504,35 +506,28 @@ def max_expected_degree(spec, n, labels=None):
     With labels, or for a model whose labels are fixed (all but SBM and
     DCSBM), the result is exact for P; without labels, SBM and DCSBM use the
     population approximation (i.i.d. labels in expectation), which is what a
-    caller knows before sampling.
+    caller knows before sampling.  An SBM is a DCSBM with theta = 1, so its
+    row max is (n - 1) max(B pi) over the labels of positive pi.
     """
     if labels is None and not isinstance(spec, (SBM, DCSBM)):
         labels = planted_labels(spec, n)  # fixed, not drawn
     if labels is not None:
         E = expected_matrix(spec, labels)
         return float(E.row_sums().max()), float(E.n * E.max_entry())
-    if isinstance(spec, SBM):
-        pi = np.asarray(spec.pi)
-        B = np.asarray(spec.B)
-        sup = pi > 0
-        rows = n * (B @ pi) - np.diag(B)
-        rowmax = rows[sup].max() if sup.any() else 0.0
-        entry = B[np.ix_(sup, sup)].max() if sup.any() else 0.0
-        return float(rowmax), float(n * entry)
-    if isinstance(spec, DCSBM):
-        pi = np.asarray(spec.pi)
-        B = np.asarray(spec.B)
-        theta = np.asarray(spec.theta)
-        sup = pi > 0
-        T = theta.sum()
-        mean_block = B @ pi  # expected B_{k,c_j} over a random neighbor label
-        rows = np.outer(theta, mean_block) * (T - theta)[:, None]
-        rowmax = rows[:, sup].max() if sup.any() else 0.0
-        top = np.sort(theta)[::-1]
-        pair = top[0] * (top[1] if len(top) > 1 else top[0])
-        entry = pair * (B[np.ix_(sup, sup)].max() if sup.any() else 0.0)
-        return float(rowmax), float(n * entry)
-    raise ValueError(f"not a model spec: {spec!r}")
+    pi = np.asarray(spec.pi)
+    B = np.asarray(spec.B)
+    theta = np.ones(n) if isinstance(spec, SBM) else np.asarray(spec.theta)
+    if len(theta) != n:
+        raise ValueError("theta length must equal n")
+    sup = pi > 0
+    T = theta.sum()
+    mean_block = B @ pi  # expected B_{k,c_j} over a random neighbor label
+    rows = np.outer(theta, mean_block) * (T - theta)[:, None]
+    rowmax = rows[:, sup].max() if sup.any() else 0.0
+    top = np.sort(theta)[::-1]
+    pair = top[0] * (top[1] if len(top) > 1 else top[0])
+    entry = pair * (B[np.ix_(sup, sup)].max() if sup.any() else 0.0)
+    return float(rowmax), float(n * entry)
 
 
 # ---------------------------------------------------------------------------

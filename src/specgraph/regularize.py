@@ -19,10 +19,13 @@ from .models import Graph
 from .spectral import SymmetricOperator
 
 
-def _check(name, value, zero_ok=False):
-    """Raise unless value is finite and positive (or zero, where zero_ok)."""
-    if not (math.isfinite(value) and (value > 0 or zero_ok and value == 0)):
+def _check(name, value, zero_ok=False, at_most=math.inf):
+    """Raise unless value is finite, > 0 (or 0, where zero_ok) and <= at_most."""
+    if not (math.isfinite(value) and (value > 0 or zero_ok and value == 0)
+            and value <= at_most):
         kind = "nonnegative" if zero_ok else "positive"
+        if at_most < math.inf:
+            kind += f" and at most {at_most:g}"
         raise ValueError(f"{name} must be finite and {kind}, got {value!r}")
 
 
@@ -160,8 +163,7 @@ def expected_regularized_laplacian(expected, tau):
 
 def choose_tau(graph, rho=0.25):
     """tau = rho * (average degree); rho = 1 gives the plain degree-sum rule."""
-    if not 0 < rho <= 1:
-        raise ValueError("rho must lie in (0, 1]")
+    _check("rho", rho, at_most=1.0)
     if graph.m == 0:
         warnings.warn("choosing tau on an empty graph; returning 0")
         return 0.0

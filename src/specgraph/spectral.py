@@ -188,17 +188,17 @@ class SymmetricOperator:
                 y += tmp
         return y
 
-    def to_dense(self, limit=DENSE_LIMIT):
+    def to_dense(self):
         """Materialize the operator densely (independent code path from matvec)."""
-        if self.n > limit:
-            raise ValueError(f"refusing to densify n={self.n} > {limit}")
+        if self.n > DENSE_LIMIT:
+            raise ValueError(f"refusing to densify n={self.n} > {DENSE_LIMIT}")
         M = np.zeros((self.n, self.n))
         for t in self.terms:
             part = np.zeros((self.n, self.n))
             if t.sparse is not None:
                 part += t.sparse.toarray()
             if t.expected is not None:
-                part += t.expected.to_dense(limit=limit)
+                part += t.expected.to_dense()
             if t.rank_one != 0.0:
                 part += t.rank_one * np.ones((self.n, self.n))
             if t.eye != 0.0:
@@ -297,7 +297,7 @@ def spectral_norm(op, tol=1e-8, seed=None):
 # Dense Jacobi oracle
 # ---------------------------------------------------------------------------
 
-def dense_eig_oracle(M, max_sweeps=60):
+def dense_eig_oracle(M):
     """Full eigendecomposition of a dense symmetric matrix by cyclic Jacobi.
 
     Gated to n <= 256; this is the test oracle, deliberately independent of
@@ -318,7 +318,7 @@ def dense_eig_oracle(M, max_sweeps=60):
     fro = float(np.linalg.norm(A))
     if fro == 0.0 or n == 1:
         return np.diag(A).copy(), V
-    for _ in range(max_sweeps):
+    for _ in range(60):  # sweep cap
         # direct off-diagonal norm; the sqrt(||A||^2 - ||diag||^2) shortcut
         # cancels catastrophically near convergence
         off = float(np.linalg.norm(A - np.diag(np.diag(A))))

@@ -67,6 +67,17 @@ def test_gen_spec_missing_key(tmp_path, capsys):
         ({"model": "er", "p": True}, "boolean"),
         ({"model": "pp", "a": True, "b": False}, "boolean"),
         ({"model": "lsm", "positions": [[True, False]]}, "boolean"),
+        # nan fails every comparison, so each check must be one that nan fails
+        ({"model": "pp", "a": float("nan"), "b": 1}, "a must be finite"),
+        ({"model": "pp", "a": 5, "b": float("inf")}, "b must be finite"),
+        ({"model": "sbm", "pi": [float("nan"), 1], "B": [[0.1, 0], [0, 0.1]]},
+         "pi must be a finite"),
+        ({"model": "sbm", "pi": [0.5, 0.5], "B": [[float("nan"), 0], [0, 0.1]]},
+         "entries of B"),
+        ({"model": "dcsbm", "pi": [1], "B": [[0.1]], "theta": [float("nan"), 1, 1]},
+         "theta must be a finite"),
+        ({"model": "ierm", "P": [[0, float("inf")], [float("inf"), 0]]},
+         "entries of P"),
     ]
     path = tmp_path / "spec.json"
     for doc, needle in docs:
@@ -250,6 +261,14 @@ def test_sweep_config_unknown_key(tmp_path, capsys):
         (dict(base, n_grid=[50.7]), "50.7"),
         (dict(base, n_grid=5), "not iterable"),
         (dict(base, tau_rho=10 ** 400), "tau_rho"),  # too large for a float
+        (dict(base, tau_rho=7), "tau_rho must"),
+        (dict(base, cap_multiplier=-5), "cap_multiplier must"),
+        # every replicate would reject these, but only after sampling a graph
+        (dict(base, d_grid=[0, 3], regularization="degree-cap"), "d_grid"),
+        (dict(base, d_grid=[0], regularization="vertex-removal"), "d_grid"),
+        ({"model": "pp", "n_grid": [100], "ab_grid": [[0, 0]],
+          "regularization": "degree-cap"}, "ab_grid"),
+        ({"model": "pp", "n_grid": [10, 100], "ab_grid": [[20, 1]]}, "ab_grid"),
         ({"model": "pp", "n_grid": [100], "ab_grid": [[1, 2, 3]]}, "ab_grid"),
         ([base], "JSON object"),
     ]
@@ -259,6 +278,27 @@ def test_sweep_config_unknown_key(tmp_path, capsys):
         code, out, err = run(capsys, "sweep", "--config", str(path))
         assert code == 2 and out == "", doc
         assert "error:" in err and needle in err, (doc, err)
+
+
+def test_sweep_knobs_rejected_before_any_replicate(capsys, monkeypatch):
+    # each exits 2 naming the knob it came from, before any graph is sampled
+    calls = []
+    monkeypatch.setattr(experiments, "_concentration_replicate",
+                        lambda *args: calls.append(args) or (0.0, 0.0))
+    base = ("sweep", "--n-grid", "50", "--d-grid", "0,3", "--R", "1")
+    cases = [(("--tau-rho", "7"), "tau_rho must"),
+             (("--cap-multiplier", "-5"), "cap_multiplier must"),
+             (("--reg", "tau-laplacian", "--tau-rho", "2"), "tau_rho must"),
+             (("--reg", "degree-cap"), "d_grid must be positive"),
+             (("--reg", "vertex-removal"), "d_grid must be positive")]
+    for flags, needle in cases:
+        code, out, err = run(capsys, *base, *flags)
+        assert code == 2 and out == "", flags
+        assert "error:" in err and needle in err, (flags, err)
+    code, out, err = run(capsys, "sweep", "--model", "pp", "--n-grid", "10",
+                         "--ab-grid", "20:1", "--R", "1")
+    assert code == 2 and "ab_grid entry [20.0, 1.0]" in err, err
+    assert calls == []
 
 
 def test_sweep_bad_grid(capsys):

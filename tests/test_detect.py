@@ -13,6 +13,7 @@ from specgraph.models import (
     PlantedPartition,
     expected_matrix,
     planted_labels,
+    sample,
 )
 from specgraph.regularize import regularized_laplacian
 from specgraph.spectral import SymmetricOperator
@@ -180,6 +181,12 @@ def test_cluster_deterministic_given_seed():
     op = regularized_laplacian(g, 0.4)
     a = spectral_cluster(op, mode="laplacian-second-largest", seed=11)
     b = spectral_cluster(op, mode="laplacian-second-largest", seed=11)
+    assert np.array_equal(a, b)
+    # seed=None is one fixed default for the solver and for k-means alike
+    B = [[0.05 if k == l else 0.01 for l in range(4)] for k in range(4)]
+    g, _ = sample(SBM((0.25,) * 4, B), 400, 0)
+    op = regularized_laplacian(g, 1.0)
+    a, b = (spectral_cluster(op, K=4, mode="top-k-embedding") for _ in range(2))
     assert np.array_equal(a, b)
 
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -80,7 +81,8 @@ def test_config_normalizes_json_values():
     ints = ExperimentConfig(model="pp", n_grid=(80,), ab_grid=[[6, 1]])
     assert ints.ab_grid == ((6.0, 1.0),) and isinstance(ints.ab_grid[0][0], float)
     bad = [{"R": True}, {"seed": False}, {"n_grid": (80.5,)}, {"n_grid": (0,)},
-           {"n_grid": (100, 0)}, {"d_grid": (True,)}, {"tau_rho": None}]
+           {"n_grid": (100, 0)}, {"d_grid": (True,)}, {"tau_rho": None},
+           {"tau_rho": 7.0}, {"tau_rho": 0.0}, {"cap_multiplier": -5.0}]
     for kwargs in bad:
         with pytest.raises(ValueError):
             ExperimentConfig(**{"model": "er", "d_grid": (3.0,), **kwargs})
@@ -260,6 +262,24 @@ def test_grid_without_blas_controls_leaves_blas_alone(controls, monkeypatch):
     assert seen == [[2] * len(controls)] * 2
 
 
+def test_grid_cancels_queued_replicates_after_one_raises():
+    # every thread count runs on the pool, and a failure stops the grid early
+    for threads in (1, 2):
+        started = []
+
+        def replicate(point, sample_seed, solver_seed):
+            started.append(threading.current_thread())
+            if sample_seed[2] == 0:
+                raise RuntimeError("replicate failed")
+            time.sleep(0.05)  # hold the workers while the failure propagates
+            return 0.0, 0.0
+
+        with pytest.raises(RuntimeError, match="replicate failed"):
+            experiments._run_grid([{}], 200, 0, replicate, threads)
+        assert 1 <= len(started) <= threads + 2, (threads, len(started))
+        assert threading.main_thread() not in started
+
+
 def test_grid_threads_validation():
     for threads in (0, -3, 1.5, True, "2"):
         with pytest.raises(ValueError, match="threads"):
@@ -364,9 +384,11 @@ def test_phase_sweep_validation():
         phase_sweep(0.0, (1.0,))
     for knob, value in [("tau_rho", math.nan), ("tau_rho", 0.0), ("tau_rho", 1.5),
                         ("cap_multiplier", math.nan), ("cap_multiplier", math.inf),
-                        ("cap_multiplier", 0.0)]:
-        with pytest.raises(ValueError, match=knob):
-            phase_sweep(4.0, (1.0,), n=60, R=1, **{knob: value})
+                        ("cap_multiplier", 0.0), ("n", 60.7), ("seed", 1.5),
+                        ("R", True)]:
+        kwargs = {"n": 60, "R": 1, knob: value}
+        with pytest.raises(ValueError, match=f"^{knob} must"):
+            phase_sweep(4.0, (1.0,), **kwargs)
 
 
 def test_phase_sweep_rejects_zero_replicates():

@@ -283,6 +283,19 @@ def test_max_expected_degree_conventions():
     assert entrymax == pytest.approx(3 * np.exp(-1.0), rel=1e-15)
 
 
+def test_max_expected_degree_sbm_is_dcsbm_with_unit_theta():
+    pi, B, n = (0.3, 0.7, 0.0), ((0.05, 0.01, 0.9), (0.01, 0.04, 0.9),
+                                 (0.9, 0.9, 0.9)), 100
+    sbm = max_expected_degree(SBM(pi, B), n)
+    dcsbm = max_expected_degree(DCSBM(pi, B, (1.0,) * n), n)
+    assert sbm == pytest.approx(dcsbm, rel=1e-15)
+    # (n - 1) max(B pi) over the labels pi can draw; the third has pi = 0
+    assert sbm[0] == pytest.approx((n - 1) * 0.031, rel=1e-15)
+    assert sbm[1] == pytest.approx(n * 0.05, rel=1e-15)
+    with pytest.raises(ValueError, match="theta length must equal n"):
+        max_expected_degree(DCSBM(pi, B, (0.1, 1.0, 1.0)), 1000)
+
+
 def test_max_expected_degree_with_labels_exact():
     spec = SBM((0.5, 0.5), ((0.8, 0.1), (0.1, 0.4)))
     labels = np.array([1, 1, 1, 2, 2])
@@ -305,6 +318,9 @@ def test_er_probability_validation(bad):
 def test_pp_negative_rates_rejected():
     with pytest.raises(ValueError):
         PlantedPartition(-1.0, 0.5)
+    for a, b in ((math.nan, 1.0), (5.0, math.nan), (math.inf, 1.0)):
+        with pytest.raises(ValueError, match="must be finite"):
+            PlantedPartition(a, b)
 
 
 def test_pp_rates_above_n_rejected_at_expectation():
@@ -320,6 +336,12 @@ def test_sbm_validation():
         SBM((0.5, 0.5), ((0.5, 0.2), (0.1, 0.5)))  # asymmetric B
     with pytest.raises(ValueError):
         SBM((0.5, 0.5), ((1.5, 0.1), (0.1, 0.5)))  # entry out of [0, 1]
+    for pi in ((math.nan, 1.0), (math.inf, 1.0)):
+        with pytest.raises(ValueError, match="pi"):
+            SBM(pi, ((0.5, 0.1), (0.1, 0.5)))
+    for x in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="entries of B"):
+            SBM((0.5, 0.5), ((x, 0.1), (0.1, 0.5)))
 
 
 def test_dcsbm_validation():
@@ -328,6 +350,9 @@ def test_dcsbm_validation():
     with pytest.raises(ValueError):
         # top two thetas against max B give probability > 1
         DCSBM((0.5, 0.5), ((0.9, 0.1), (0.1, 0.9)), (2.0, 2.0, 0.5))
+    for x in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="theta"):
+            DCSBM((1.0,), ((0.0,),), (x, 1.0, 1.0))
 
 
 def test_ierm_validation():
@@ -337,6 +362,9 @@ def test_ierm_validation():
         IERM(((0.1, 0.5), (0.5, 0.0)))  # nonzero diagonal
     with pytest.raises(ValueError):
         IERM(((0.0, 1.5), (1.5, 0.0)))  # out of range
+    for x in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="entries of P"):
+            IERM(((0.0, x), (x, 0.0)))
 
 
 def test_lsm_validation():

@@ -84,7 +84,7 @@ def test_operator_validation():
     with pytest.raises(ValueError):
         random_operator(0, n=8) - random_operator(0, n=10)
     with pytest.raises(ValueError):
-        SymmetricOperator.compose(5000).to_dense(limit=4096)
+        SymmetricOperator.compose(5000).to_dense()
 
 
 def test_centered_operator_is_a_minus_ea():
