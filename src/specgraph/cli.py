@@ -151,7 +151,8 @@ def _cmd_detect(args):
         raise ValueError(f"unknown method {args.method!r}; choose from {MODES}")
     tau = None
     if method in ("laplacian-second-largest", "top-k-embedding"):
-        tau = choose_tau(g, args.tau_rho) if args.tau_rho > 0 and g.m else 0.0
+        # 0 asks for the plain Laplacian; choose_tau checks every other rho
+        tau = choose_tau(g, args.tau_rho) if args.tau_rho else 0.0
         op = regularized_laplacian(g, tau) if tau > 0 else laplacian(g)
     else:
         op = SymmetricOperator.from_graph(g)
@@ -283,7 +284,9 @@ def build_parser():
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--method", default="laplacian-second-largest")
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--tau-rho", dest="tau_rho", type=float, default=0.25)
+    p.add_argument("--tau-rho", dest="tau_rho", type=float, default=0.25,
+                   help="Laplacian methods: tau = rho x mean degree, rho in "
+                        "(0, 1]; 0 runs the plain Laplacian")
     p.add_argument("--seed", type=int)
     p.add_argument("--truth", help="labels file to score against")
     p.add_argument("--labels-out", dest="labels_out")

@@ -50,7 +50,7 @@ from .regularize import (
     regularized_laplacian,
     remove_high_degree,
 )
-from .spectral import NonConvergenceError, SymmetricOperator, top_eigs
+from .spectral import NonConvergenceError, SymmetricOperator, spectral_norm, top_eigs
 
 CSV_COLUMNS = ("model", "n", "d", "a", "b", "snr", "regularization", "method",
                "statistic", "mean", "stderr", "R", "seed")
@@ -166,6 +166,10 @@ class ExperimentConfig:
             if max(a, b) > min(self.n_grid):
                 raise ValueError(f"ab_grid entry {[a, b]} exceeds n = "
                                  f"{min(self.n_grid)} of n_grid")
+        degrees = (self.d_grid if self.model == "er"
+                   else [(a + b) / 2.0 for a, b in self.ab_grid])
+        for d in degrees if capped else ():
+            _check("cap_multiplier * d", self.cap_multiplier * d)
 
 
 @dataclass
@@ -204,7 +208,7 @@ def _concentration_replicate(point, sample_seed, solver_seed):
     tau = math.nan
     mode = point["regularization"]
     if mode == "tau-laplacian":
-        tau = choose_tau(g, point["tau_rho"]) if g.m else 0.0
+        tau = choose_tau(g, point["tau_rho"])
         if tau <= 0:
             return math.nan, tau
         op = regularized_laplacian(g, tau) - expected_regularized_laplacian(E, tau)
@@ -320,31 +324,22 @@ def _mean_stderr(values):
     return mean, stderr, len(ok)
 
 
-def _er_bounds(n, d):
-    """The closed-form bounds on ||A - EA|| for edge probability d/n (C = 1)."""
-    vals = {
-        "bai-yin": bounds_mod.bai_yin_limit(d),
-        "bernstein": bounds_mod.bernstein_expectation(math.sqrt(d), 1.0, n),
-        "bvh": bounds_mod.bvh_er(n, d / n),
-    }
+def _bound_values(point, tau=math.nan):
+    """name -> value, in row order, of the bounds.BOUND_REGISTRY bounds that
+    apply under the point's regularization, at its n and d with sigma =
+    sqrt(d), K = 1 and r = C = 1: what `specgraph bounds` prints for them."""
+    reg, d = point["regularization"], point["d"]
+    if reg == "tau-laplacian":
+        names = ("thm54",) if _positive(tau) else ()
+    else:
+        names = ("bai-yin", "bernstein", "bvh", "benaych",
+                 *(("thm51",) if reg == "degree-cap" else ()))
+    params = {"n": point["n"], "d": d, "sigma": math.sqrt(d), "bigk": 1.0,
+              "r": 1.0, "c": 1.0, "tau": tau}
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        vals["benaych"] = bounds_mod.benaych_bound(d, n)
-    return vals
-
-
-def _applicable_bounds(point, tau_mean):
-    """name -> bound value with all hidden constants at 1 (r = 1)."""
-    n, d = point["n"], point["d"]
-    vals = {"sqrt_d": math.sqrt(d) if d > 0 else math.nan}
-    if point["regularization"] == "tau-laplacian":
-        if _positive(tau_mean):
-            vals["thm54"] = bounds_mod.regularized_laplacian_bound(1.0, tau_mean, d)
-        return vals
-    vals.update(_er_bounds(n, d))
-    if point["regularization"] == "degree-cap":
-        vals["thm51"] = bounds_mod.regularized_concentration_bound(1.0, d)
-    return vals
+        warnings.simplefilter("ignore")  # benaych outside its stated window
+        return {name: bounds_mod.BOUND_REGISTRY[name][0](params)
+                for name in names}
 
 
 def measure_concentration(config, threads=None):
@@ -368,7 +363,8 @@ def measure_concentration(config, threads=None):
         if config.regularization == "tau-laplacian":
             records.append(_row(point, seed, "tau", tau_mean, "", used))
         if mean != "":
-            for name, bound in _applicable_bounds(point, tau_mean).items():
+            bounds = {"sqrt_d": math.sqrt(point["d"])}
+            for name, bound in (bounds | _bound_values(point, tau_mean)).items():
                 if _positive(bound):
                     records.append(_row(point, seed, f"ratio_{name}",
                                         mean / bound, stderr / bound, used))
@@ -411,7 +407,7 @@ class EigenvectorStudy:
         header = "lap_v1,lap_v2,lap_v3,reglap_v1,reglap_v2,reglap_v3"
         lines = [header]
         for row in self.table:
-            lines.append(",".join("%.17g" % x for x in row))
+            lines.append(",".join(map(_fmt, row)))
         return "\n".join(lines) + "\n"
 
 
@@ -423,7 +419,7 @@ def eigenvector_study(n=50, a=5.0, b=0.1, rho=0.1, seed=0):
     each operator against the planted labels.
     """
     g, labels = sample(PlantedPartition(a, b), n, [seed, 0])
-    tau = choose_tau(g, rho) if g.m else 0.0
+    tau = choose_tau(g, rho)
     pairs_plain = top_eigs(laplacian(g), 3, which="largest-algebraic",
                            tol=1e-10, seed=[seed, 1], max_basis=n)
     op_reg = regularized_laplacian(g, tau) if tau > 0 else laplacian(g)
@@ -452,7 +448,7 @@ def _phase_replicate(point, sample_seed, solver_seed):
             capped, _ = degree_regularize(g, point["a"], point["cap_multiplier"])
             op = SymmetricOperator.from_graph(capped)
         else:
-            tau = choose_tau(g, point["tau_rho"]) if g.m else 0.0
+            tau = choose_tau(g, point["tau_rho"])
             if tau <= 0:
                 return math.nan, math.nan
             op = regularized_laplacian(g, tau)
@@ -486,6 +482,8 @@ def phase_sweep(d, snr_grid, n=4000, R=50, method="both", tau_rho=0.25,
     _check("cap_multiplier", cap_multiplier)
     if R < 1:
         raise ValueError("R must be at least 1")
+    if n < 1:
+        raise ValueError("n must be at least 1")
     points, infeasible = [], []
     for s in snr_grid:
         delta = math.sqrt(2.0 * d * s) / 2.0
@@ -498,8 +496,10 @@ def phase_sweep(d, snr_grid, n=4000, R=50, method="both", tau_rho=0.25,
                   "tau_rho": tau_rho, "cap_multiplier": cap_multiplier}
             if b < 0 or a > n:
                 infeasible.append(pt)
-            else:
-                points.append(pt | {"spec": PlantedPartition(a, b)})
+                continue
+            if meth == "reg-adjacency":  # the cap is cap_multiplier * a
+                _check("cap_multiplier * a", cap_multiplier * a)
+            points.append(pt | {"spec": PlantedPartition(a, b)})
     acc, _ = _run_grid(points, R, seed, _phase_replicate, threads)
     records = [_row(pt, seed, "accuracy", *_mean_stderr(acc[gi]))
                for gi, pt in enumerate(points)]
@@ -517,8 +517,7 @@ def _scorecard_replicate(point, sample_seed, solver_seed):
     E = expected_matrix(point["spec"], labels)
     op = SymmetricOperator.centered(g, E)
     try:
-        norm = abs(top_eigs(op, 1, which="largest-magnitude",
-                            tol=_SOLVER_TOL, seed=solver_seed)[0].value)
+        norm = spectral_norm(op, _SOLVER_TOL, solver_seed)
     except NonConvergenceError:
         return math.nan, math.nan
     return norm, bounds_mod.seginer_stat(g, E)
@@ -543,7 +542,7 @@ def bound_scorecard(n_grid, d_grid, R=20, seed=0, threads=None):
                             used))
         if mean == "":
             continue
-        for name, bound in _er_bounds(point["n"], point["d"]).items():
+        for name, bound in _bound_values(point).items():
             records.append(_row(point, seed, f"bound_{name}", bound, "", ""))
             if _positive(bound):
                 records.append(_row(point, seed, f"ratio_{name}", mean / bound,

@@ -207,10 +207,6 @@ class SBM:
         object.__setattr__(self, "pi", tuple(float(x) for x in pi))
         object.__setattr__(self, "B", tuple(tuple(float(x) for x in row) for row in B))
 
-    @property
-    def K(self):
-        return len(self.pi)
-
 
 @dataclass(frozen=True)
 class DCSBM:
@@ -238,10 +234,6 @@ class DCSBM:
             raise ValueError(
                 f"theta_i*theta_j*B must be <= 1 for all pairs (worst case {worst:.6g})")
         object.__setattr__(self, "theta", tuple(float(x) for x in theta))
-
-    @property
-    def K(self):
-        return len(self.pi)
 
 
 @dataclass(frozen=True)

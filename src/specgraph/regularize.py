@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +69,7 @@ def degree_regularize(graph, d_hat, cap_multiplier=2.0):
     _check("d_hat", d_hat)
     _check("cap_multiplier", cap_multiplier)
     cap = cap_multiplier * d_hat
+    _check("cap_multiplier * d_hat", cap)
     n = graph.n
     w = graph.w.copy()
     deg = graph.degrees()
@@ -162,9 +162,7 @@ def expected_regularized_laplacian(expected, tau):
 
 
 def choose_tau(graph, rho=0.25):
-    """tau = rho * (average degree); rho = 1 gives the plain degree-sum rule."""
+    """tau = rho * (average degree), or 0 on an empty graph; rho = 1 gives
+    the plain degree-sum rule."""
     _check("rho", rho, at_most=1.0)
-    if graph.m == 0:
-        warnings.warn("choosing tau on an empty graph; returning 0")
-        return 0.0
-    return rho * float(graph.degrees().mean())
+    return rho * float(graph.degrees().mean()) if graph.m else 0.0

@@ -86,10 +86,6 @@ class SymmetricOperator:
         self.terms = list(terms)
         self._folded = None
 
-    @property
-    def shape(self):
-        return (self.n, self.n)
-
     @classmethod
     def compose(cls, n, sparse=None, expected=None, rank_one=0.0, eye=0.0,
                 scale=None):
@@ -238,8 +234,8 @@ def top_eigs(op, k, which="largest-algebraic", tol=1e-8, seed=None, max_basis=No
         op: SymmetricOperator.
         k: number of eigenpairs.
         which: "largest-algebraic", "smallest-algebraic", or "largest-magnitude".
-        tol: residual tolerance, ||M v - theta v|| <= tol * max(1, |theta|),
-            recomputed for every returned pair after the solve.
+        tol: finite positive residual tolerance, ||M v - theta v|| <=
+            tol * max(1, |theta|), recomputed for every returned pair.
         seed: start-vector seed; eigenvalues are seed-invariant within tol.
         max_basis: Lanczos basis size (ARPACK's ncv), clipped to k < ncv <= n;
             None leaves ARPACK's default, min(n, max(2k + 1, 20)).
@@ -252,8 +248,9 @@ def top_eigs(op, k, which="largest-algebraic", tol=1e-8, seed=None, max_basis=No
     """
     if which not in _WHICH:
         raise ValueError(f"which must be one of {tuple(_WHICH)}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    # nan fails this too; tol = inf would pass every residual check below
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     n = op.n
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")

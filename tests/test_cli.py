@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 import subprocess
 
@@ -7,7 +8,9 @@ import pytest
 
 from specgraph import experiments
 from specgraph.cli import main
+from specgraph.detect import spectral_cluster
 from specgraph.models import Graph, read_labels
+from specgraph.regularize import laplacian
 from specgraph.spectral import NonConvergenceError
 
 
@@ -223,6 +226,26 @@ def test_detect_adjacency_method(tmp_path, capsys):
     assert labels[:4] != labels[4:] and len(set(labels[:4])) == 1
 
 
+def test_detect_tau_rho(tmp_path, capsys):
+    # 0 asks for the plain Laplacian; every other rho must lie in (0, 1]
+    # (a negative or NaN rho used to run the plain Laplacian silently)
+    src = tmp_path / "g.tsv"
+    src.write_text(two_cliques_tsv(bridge=True))
+    for rho in ("-1", "nan", "2"):
+        code, out, err = run(capsys, "detect", "--in", str(src), "--tau-rho", rho)
+        assert code == 2 and out == "", rho
+        assert "error: rho must be finite and positive" in err, (rho, err)
+    plain = laplacian(Graph.from_tsv(src))
+    for method in ("laplacian-second-largest", "top-k-embedding"):
+        code, out, _ = run(capsys, "detect", "--in", str(src), "--tau-rho", "0",
+                           "--seed", "5", "--method", method)
+        assert code == 0
+        report = json.loads(out)
+        assert report["tau"] == 0.0
+        labels = spectral_cluster(plain, K=2, mode=method, seed=5)
+        assert report["labels"] == [int(x) for x in labels]
+
+
 # ---------------------------------------------------------------------------
 # sweep / phase / fig-eigvec
 # ---------------------------------------------------------------------------
@@ -327,8 +350,9 @@ def test_phase_bad_inputs(capsys):
     cases = [(("--snr", s), "snr") for s in ("-1", "nan", "inf", "0,-inf")]
     cases += [(("--snr", "1", "--d", d), "d must") for d in ("nan", "0", "inf")]
     cases += [(("--snr", "1", "--tau-rho", r), "tau_rho must") for r in ("nan", "0", "2")]
+    cases += [(("--snr", "1", "--n", "0"), "n must be at least 1")]
     for flags, needle in cases:
-        code, out, err = run(capsys, "phase", *flags, "--n", "60", "--R", "1")
+        code, out, err = run(capsys, "phase", "--n", "60", "--R", "1", *flags)
         assert code == 2 and out == "", flags
         assert "error:" in err and needle in err, (flags, err)
 
@@ -342,6 +366,35 @@ def test_nan_cap_multiplier_exits_2(tmp_path, capsys):
         code, out, err = run(capsys, *argv, "--cap-multiplier", "nan")
         assert code == 2 and out == "", argv
         assert "error: cap_multiplier must be finite and positive, got nan" in err
+
+
+def test_overflowing_cap_exits_2_before_any_replicate(tmp_path, capsys,
+                                                      monkeypatch):
+    # cap_multiplier and the degree are finite but the cap, their product, is
+    # not; each command used to exit 0 with nothing capped
+    calls = []
+    for name in ("_concentration_replicate", "_phase_replicate"):
+        monkeypatch.setattr(experiments, name,
+                            lambda *args: calls.append(args) or (0.0, 0.0))
+    src = tmp_path / "g.tsv"
+    src.write_text(star_tsv())
+    sweep = ("sweep", "--n-grid", "100", "--R", "1")
+    cases = [((*sweep, "--d-grid", "3", "--reg", "degree-cap"), "d"),
+             ((*sweep, "--d-grid", "3", "--reg", "vertex-removal"), "d"),
+             ((*sweep, "--model", "pp", "--ab-grid", "6:1", "--reg",
+               "degree-cap"), "d"),
+             (("reg", "--in", str(src), "--mode", "cap"), "d_hat"),
+             (("phase", "--snr", "4", "--n", "300", "--R", "1", "--method",
+               "reg-adjacency"), "a")]
+    for argv, factor in cases:
+        code, out, err = run(capsys, *argv, "--cap-multiplier", "1e308")
+        assert code == 2 and out == "", argv
+        assert (f"error: cap_multiplier * {factor} must be finite and "
+                f"positive, got inf") in err, (argv, err)
+    assert calls == []
+    # no cap is formed without a capping regularization
+    code, _, _ = run(capsys, *sweep, "--d-grid", "3", "--cap-multiplier", "1e308")
+    assert code == 0 and len(calls) == 1
 
 
 def test_threads_must_be_positive(capsys):
@@ -390,6 +443,35 @@ def test_bounds_thm54_defaults_r(capsys):
                        "--d", "4")
     assert code == 0
     assert float(out) == pytest.approx(2.0 ** 2.5 / 2.0, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:benaych bound stated")
+def test_sweep_ratios_match_bounds_command(capsys):
+    # mean / ratio_<name> is what `bounds --bound <name>` prints at the row's
+    # n, d and mean tau, with sigma = sqrt(d), K = 1 and r = C = 1
+    n, d = 300, 5.0
+    for reg, names in (("degree-cap", ("sqrt_d", "bai-yin", "bernstein",
+                                       "bvh", "benaych", "thm51")),
+                       ("tau-laplacian", ("sqrt_d", "thm54"))):
+        code, out, _ = run(capsys, "sweep", "--n-grid", str(n), "--d-grid",
+                           "%r" % d, "--R", "2", "--reg", reg, "--seed", "3")
+        assert code == 0
+        rows = {row[8]: row[9] for row in
+                (line.split(",") for line in out.splitlines()[1:])}
+        ratios = [s[len("ratio_"):] for s in rows if s.startswith("ratio_")]
+        assert ratios == list(names), (reg, ratios)
+        flags = {"n": n, "d": d, "sigma": math.sqrt(d), "bigk": 1.0,
+                 "r": 1.0, "c": 1.0}
+        if "tau" in rows:
+            flags["tau"] = float(rows["tau"])
+        argv = [tok for key, val in flags.items()
+                for tok in (f"--{key}", "%r" % val)]
+        mean = float(rows["deviation_norm"])
+        for name in names[1:]:
+            code, out, _ = run(capsys, "bounds", "--bound", name, *argv)
+            assert code == 0, name
+            bound = mean / float(rows[f"ratio_{name}"])
+            assert bound == pytest.approx(float(out), rel=1e-12, abs=0), name
 
 
 def test_bounds_missing_parameter(capsys):

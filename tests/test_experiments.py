@@ -384,8 +384,8 @@ def test_phase_sweep_validation():
         phase_sweep(0.0, (1.0,))
     for knob, value in [("tau_rho", math.nan), ("tau_rho", 0.0), ("tau_rho", 1.5),
                         ("cap_multiplier", math.nan), ("cap_multiplier", math.inf),
-                        ("cap_multiplier", 0.0), ("n", 60.7), ("seed", 1.5),
-                        ("R", True)]:
+                        ("cap_multiplier", 0.0), ("n", 60.7), ("n", 0),
+                        ("seed", 1.5), ("R", True)]:
         kwargs = {"n": 60, "R": 1, knob: value}
         with pytest.raises(ValueError, match=f"^{knob} must"):
             phase_sweep(4.0, (1.0,), **kwargs)

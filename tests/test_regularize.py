@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,10 @@ def test_cap_validation():
                         (1.0, math.inf), (1.0, -math.inf)]:
         with pytest.raises(ValueError, match="must be finite and positive"):
             degree_regularize(g, d_hat, mult)
+    # each factor is finite but the cap overflows; it used to cap nothing
+    with pytest.raises(ValueError, match=r"^cap_multiplier \* d_hat must be "
+                                         r"finite and positive, got inf"):
+        degree_regularize(g, 3.0, 1e308)
 
 
 def test_cap_report_json_round_trips():
@@ -250,9 +255,10 @@ def test_choose_tau_examples():
     assert choose_tau(star(9), rho=0.25) == pytest.approx(0.45)
 
 
-def test_choose_tau_empty_graph_warns():
+def test_choose_tau_empty_graph_returns_zero_silently():
     g = Graph(5, [], [], [])
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert choose_tau(g) == 0.0
 
 

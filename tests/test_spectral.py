@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,9 +235,12 @@ def test_spectral_norm_dominates_max_column_norm():
 
 
 def test_spectral_norm_tol_validation():
-    op = SymmetricOperator.compose(4, eye=1.0)
-    with pytest.raises(ValueError):
-        spectral_norm(op, tol=0.0)
+    # tol = inf passed every residual check; nan raised NonConvergenceError
+    op = SymmetricOperator.from_matrix(np.diag(np.arange(1.0, 31.0)))
+    for tol in (0.0, -1e-8, math.inf, math.nan):
+        for solve in (spectral_norm, lambda op, tol: top_eigs(op, 1, tol=tol)):
+            with pytest.raises(ValueError, match="tol must be finite and positive"):
+                solve(op, tol=tol)
 
 
 # ---------------------------------------------------------------------------
