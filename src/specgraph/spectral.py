@@ -235,8 +235,12 @@ def top_eigs(op, k, which="largest-algebraic", tol=1e-8, seed=None, max_basis=No
         k: number of eigenpairs.
         which: "largest-algebraic", "smallest-algebraic", or "largest-magnitude".
         tol: finite positive residual tolerance, ||M v - theta v|| <=
-            tol * max(1, |theta|), recomputed for every returned pair.
-        seed: start-vector seed; eigenvalues are seed-invariant within tol.
+            tol * max(1, |theta|), recomputed for every returned pair.  It
+            bounds each returned pair's residual, not which member of a
+            tight cluster is found: a loose largest-magnitude solve can
+            return a genuine eigenpair just below the top one.
+        seed: start-vector seed.  Another seed or tol can change the
+            returned pairs (within a cluster, not only within tol).
         max_basis: Lanczos basis size (ARPACK's ncv), clipped to k < ncv <= n;
             None leaves ARPACK's default, min(n, max(2k + 1, 20)).
 

@@ -327,10 +327,10 @@ def test_sweep_knobs_rejected_before_any_replicate(capsys, monkeypatch):
 def test_sweep_bad_grid(capsys):
     code, _, err = run(capsys, "sweep", "--n-grid", "100", "--d-grid", "")
     assert code == 2
-    for n_grid in ("0", "100,0", "-3"):
+    for n_grid in ("0", "100,0", "-3", "1"):
         code, out, err = run(capsys, "sweep", "--n-grid", n_grid, "--d-grid", "2")
         assert code == 2 and out == "", n_grid
-        assert "error:" in err and "at least 1" in err, (n_grid, err)
+        assert "error:" in err and "at least 2" in err, (n_grid, err)
 
 
 def test_phase_csv(capsys):

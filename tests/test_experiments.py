@@ -10,6 +10,7 @@ import pytest
 
 import specgraph
 from specgraph import experiments
+from specgraph.detect import misclassification_rate, sign_partition
 from specgraph.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -20,6 +21,8 @@ from specgraph.experiments import (
     participation_ratio,
     phase_sweep,
 )
+from specgraph.models import ER, expected_matrix, sample
+from specgraph.spectral import SymmetricOperator, top_eigs
 
 
 def records_by_stat(result):
@@ -58,6 +61,8 @@ def test_config_validation():
         ExperimentConfig(model="er", d_grid=(2.0,), R=0)
     with pytest.raises(ValueError):
         ExperimentConfig(model="er", n_grid=())
+    with pytest.raises(ValueError, match="at least 2"):
+        ExperimentConfig(model="er", n_grid=(1,), d_grid=(0.5,))
     with pytest.raises(ValueError):
         ExperimentConfig(model="er", d_grid=())
     with pytest.raises(ValueError):
@@ -155,6 +160,23 @@ def test_concentration_tau_mode_records():
     assert rec["snr"] == pytest.approx(16.0 / 8.0)
     # Laplacian deviations live inside the unit spectral interval
     assert 0 < rec["mean"] < 2.0
+
+
+def test_deviation_norm_is_the_top_magnitude_of_a_tight_cluster():
+    # On this draw the top |lambda| (-3.6176) has a second eigenvalue 3.6092
+    # (2.3e-3 relative below it).  A tol-1e-4 largest-magnitude solve returns 3.6092 and
+    # passes the residual recheck, since that is a genuine eigenpair.
+    n = 10_000
+    point = {"spec": ER(2.0 / n), "n": n, "d": 2.0, "regularization": "none"}
+    sample_seed, solver_seed = [161328693, 0, 1, 0], [161328693, 0, 1, 1]
+    norm, _ = experiments._concentration_replicate(point, sample_seed,
+                                                   solver_seed)
+    g, labels = sample(point["spec"], n, sample_seed)
+    op = SymmetricOperator.centered(g, expected_matrix(point["spec"], labels))
+    tight = top_eigs(op, 6, which="largest-magnitude", tol=1e-12,
+                     seed=solver_seed, max_basis=80)
+    assert abs(tight[0].value) - abs(tight[1].value) < 1e-2
+    assert norm == pytest.approx(abs(tight[0].value), rel=1e-6)
 
 
 def test_thread_count_invariance():
@@ -375,6 +397,38 @@ def test_phase_sweep_signal_beats_noise():
     acc_hi = records_by_stat(hi)["accuracy"][0]["mean"]
     assert acc_hi > acc_lo + 0.15
     assert acc_hi > 0.8
+
+
+def test_phase_solve_stays_within_its_budget(monkeypatch):
+    # The phase replicate solves loosely: only the signs of its second
+    # eigenvector count.  Each pair it returns must still be the second
+    # eigenpair of a tight solve (not the third), and the sign rule must
+    # score within 1e-3 (2 nodes at n = 2000) of the tight vector's.
+    solves, truths = [], []
+
+    def spy_top_eigs(op, k, **kwargs):
+        pairs = top_eigs(op, k, **kwargs)
+        solves.append((op, kwargs, pairs))
+        return pairs
+
+    def spy_sample(*args):
+        g, labels = sample(*args)
+        truths.append(labels)
+        return g, labels
+
+    monkeypatch.setattr(experiments, "top_eigs", spy_top_eigs)
+    monkeypatch.setattr(experiments, "sample", spy_sample)
+    phase_sweep(10.0, (0.0, 4.0, 10.0), n=2000, R=2, seed=0, threads=1)
+    assert len(solves) == len(truths) == 12  # 3 snr x 2 methods x 2 draws
+    for (op, kwargs, pairs), truth in zip(solves, truths):
+        tight = top_eigs(op, 3, which=kwargs["which"], tol=1e-10,
+                         seed=kwargs["seed"], max_basis=40)
+        lam2 = tight[1].value
+        assert abs(pairs[1].value - lam2) <= kwargs["tol"] * max(1.0, abs(lam2))
+        loose_acc, tight_acc = (
+            1.0 - misclassification_rate(sign_partition(p[1].vector), truth)
+            for p in (pairs, tight))
+        assert abs(loose_acc - tight_acc) <= 1e-3 + 1e-12  # 1e-12: rounding
 
 
 def test_phase_sweep_validation():
