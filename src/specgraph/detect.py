@@ -18,7 +18,7 @@ MODES = (
 )
 
 _RESTARTS = 20
-# kmeans2 never checks convergence; the cli-pipeline embeddings converge within 20 steps
+# cap on Lloyd steps per restart; a restart stops earlier at its fixed point
 _LLOYD_STEPS = 30
 
 
@@ -55,6 +55,12 @@ def kmeans(X, K, seed=None):
     k-means++ seeding: Arthur & Vassilvitskii, SODA 2007.  All restarts draw
     from one generator, so the labels are fixed by the seed; seed=None means
     the same fixed default that top_eigs uses.
+
+    Each restart takes one kmeans2 step at a time, at most _LLOYD_STEPS, and
+    stops at a fixed point of Lloyd's iteration: once a step assigns the
+    labels of the step before, it recomputes the same means bit for bit (an
+    empty cluster keeps its old centre), so every later step would too.  The
+    result is that of kmeans2(iter=_LLOYD_STEPS).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or len(X) < K:
@@ -68,8 +74,15 @@ def kmeans(X, K, seed=None):
         warnings.simplefilter("ignore", RuntimeWarning)
         warnings.filterwarnings("ignore", "One of the clusters is empty")
         for _ in range(_RESTARTS):
-            C, _ = kmeans2(X, K, iter=_LLOYD_STEPS, minit="++", missing="warn", rng=rng)
-            assign, dist = vq(X, C)
+            # the first call draws the seeding and checks X for NaN and inf
+            C, prev = kmeans2(X, K, iter=1, minit="++", missing="warn", rng=rng)
+            for _ in range(_LLOYD_STEPS - 1):
+                C, labels = kmeans2(X, C, iter=1, minit="matrix",
+                                    missing="warn", check_finite=False)
+                if np.array_equal(labels, prev):
+                    break
+                prev = labels
+            assign, dist = vq(X, C, check_finite=False)
             inertia = float(dist @ dist)
             if inertia < best_inertia - 1e-15:
                 best_inertia = inertia

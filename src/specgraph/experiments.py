@@ -498,8 +498,8 @@ def phase_sweep(d, snr_grid, n=4000, R=50, method="both", tau_rho=0.25,
     _check("cap_multiplier", cap_multiplier)
     if R < 1:
         raise ValueError("R must be at least 1")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if n < 2:  # each replicate solves for k = 2 eigenpairs
+        raise ValueError(f"n must be at least 2, got {n}")
     points, infeasible = [], []
     for s in snr_grid:
         delta = math.sqrt(2.0 * d * s) / 2.0

@@ -123,15 +123,29 @@ class Graph:
         if not lines or not lines[0].startswith("# n="):
             raise ValueError("missing '# n=<n>' header line")
         n = int(lines[0][4:])
-        ii, jj, ww = [], [], []
-        for ln in lines[1:]:
-            parts = ln.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"malformed edge line: {ln!r}")
-            ii.append(int(parts[0]))
-            jj.append(int(parts[1]))
-            ww.append(float(parts[2]))
-        ww = np.asarray(ww, dtype=np.float64)
+        ww = None
+        # On ASCII text without \x1f, numpy's C reader accepts a subset of
+        # what int() and float() accept, with equal values.  Elsewhere it
+        # does not: it strips \x1f as a space, and reads some non-ASCII
+        # characters as digits.  Whatever it does not take goes through the
+        # line loop, which names the first bad line.
+        if len(lines) > 1 and text.isascii() and "\x1f" not in text:
+            try:
+                e = np.loadtxt(lines[1:], delimiter="\t", comments=None, ndmin=1,
+                               dtype=[("i", np.int64), ("j", np.int64), ("w", np.float64)])
+                ii, jj, ww = e["i"], e["j"], e["w"]
+            except ValueError:
+                pass
+        if ww is None:
+            ii, jj, ww = [], [], []
+            for ln in lines[1:]:
+                parts = ln.split("\t")
+                if len(parts) != 3:
+                    raise ValueError(f"malformed edge line: {ln!r}")
+                ii.append(int(parts[0]))
+                jj.append(int(parts[1]))
+                ww.append(float(parts[2]))
+            ww = np.asarray(ww, dtype=np.float64)
         bad = np.flatnonzero(~((ww > 0) & (ww <= 1)))  # nan fails both tests
         if len(bad):
             raise ValueError(f"edge weight must lie in (0, 1]: {lines[1 + bad[0]]!r}")
@@ -141,8 +155,7 @@ class Graph:
 def write_labels(path, labels):
     """One integer label per line, in node-index order."""
     with open(path, "w", encoding="utf-8") as fh:
-        for lab in labels:
-            fh.write(f"{int(lab)}\n")
+        fh.write("".join(map("%d\n".__mod__, np.asarray(labels).tolist())))
 
 
 def read_labels(path):

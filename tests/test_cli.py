@@ -345,12 +345,16 @@ def test_phase_csv(capsys):
     assert stats == {"accuracy", "infeasible"}  # snr=50 needs b < 0
 
 
-def test_phase_bad_inputs(capsys):
+def test_phase_bad_inputs(monkeypatch, capsys):
     # each bad value exits 2 before any replicate, naming the flag it came from
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a replicate ran")
+    monkeypatch.setattr(experiments, "_run_grid", no_grid)
     cases = [(("--snr", s), "snr") for s in ("-1", "nan", "inf", "0,-inf")]
     cases += [(("--snr", "1", "--d", d), "d must") for d in ("nan", "0", "inf")]
     cases += [(("--snr", "1", "--tau-rho", r), "tau_rho must") for r in ("nan", "0", "2")]
-    cases += [(("--snr", "1", "--n", "0"), "n must be at least 1")]
+    # every replicate solves for two eigenpairs
+    cases += [(("--snr", "1", "--n", n), f"n must be at least 2, got {n}") for n in ("0", "1")]
     for flags, needle in cases:
         code, out, err = run(capsys, "phase", "--n", "60", "--R", "1", *flags)
         assert code == 2 and out == "", flags

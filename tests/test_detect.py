@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.cluster.vq import kmeans2, vq
 
+import specgraph.detect as detect
 from specgraph.detect import kmeans, misclassification_rate, sign_partition, spectral_cluster
 from specgraph.models import (
     SBM,
@@ -111,6 +113,62 @@ def test_kmeans_deterministic_and_validated():
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
         kmeans(X[:2], 3)
+
+
+def _kmeans_all_steps(X, K, seed):
+    """kmeans as it was before the fixed-point stop: every restart runs all
+    _LLOYD_STEPS steps.  Returns the labels, each restart's centres, and the
+    number of restarts whose centres would still move at one more step."""
+    rng = np.random.default_rng(seed)
+    twin = np.random.default_rng()
+    best, best_inertia, centres, capped = None, np.inf, [], 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for _ in range(detect._RESTARTS):
+            twin.bit_generator.state = rng.bit_generator.state
+            C, _ = kmeans2(X, K, iter=detect._LLOYD_STEPS, minit="++",
+                           missing="warn", rng=rng)
+            C_more, _ = kmeans2(X, K, iter=detect._LLOYD_STEPS + 1, minit="++",
+                                missing="warn", rng=twin)
+            capped += not np.array_equal(C, C_more)
+            centres.append(C)
+            assign, dist = vq(X, C)
+            inertia = float(dist @ dist)
+            if inertia < best_inertia - 1e-15:
+                best, best_inertia = assign, inertia
+    return best.astype(np.int64) + 1, centres, capped
+
+
+def _blobs(seed):
+    rng = np.random.default_rng(seed)
+    means = rng.uniform(-3, 3, size=(4, 3))
+    return np.concatenate([rng.normal(m, 1.0, size=(40, 3)) for m in means]), 4
+
+
+@pytest.mark.parametrize("X, K, seed, at_cap", [
+    (*_blobs(0), 5, False),
+    (*_blobs(1), 11, False),
+    (np.repeat([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]], [4, 3, 5], axis=0), 5, 2, False),
+    (np.random.default_rng(0).standard_normal((500, 3)), 10, 0, True),
+], ids=["blobs-0", "blobs-1", "fewer-distinct-rows-than-K", "hits-step-cap"])
+def test_kmeans_equals_every_step_formula(monkeypatch, X, K, seed, at_cap):
+    # the fixed-point stop keeps every restart's centres bit for bit
+    labels, centres, capped = _kmeans_all_steps(X, K, seed)
+    assert (capped > 0) == at_cap
+    seen = []
+    monkeypatch.setattr(detect, "vq", lambda X, C, **kw: seen.append(C) or vq(X, C, **kw))
+    assert np.array_equal(kmeans(X, K, seed=seed), labels)
+    assert len(seen) == len(centres)
+    for got, want in zip(seen, centres):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kmeans_rejects_nonfinite_rows(bad):
+    X = np.random.default_rng(0).standard_normal((10, 2))
+    X[3, 1] = bad
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        kmeans(X, 2, seed=0)
 
 
 @pytest.mark.parametrize("X, K", [

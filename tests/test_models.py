@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -488,6 +489,86 @@ def test_tsv_parse_errors():
 def test_tsv_parse_rejects_bad_weights_and_duplicates(body):
     with pytest.raises(ValueError):
         Graph.parse_tsv("# n=3\n" + body)
+
+
+def _parse_tsv_by_lines(text):
+    """Graph.parse_tsv as one Python line loop: the reference for its numpy path."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    n = int(lines[0][4:])
+    ii, jj, ww = [], [], []
+    for ln in lines[1:]:
+        parts = ln.split("\t")
+        if len(parts) != 3:
+            raise ValueError(f"malformed edge line: {ln!r}")
+        ii.append(int(parts[0]))
+        jj.append(int(parts[1]))
+        ww.append(float(parts[2]))
+    ww = np.asarray(ww, dtype=np.float64)
+    bad = np.flatnonzero(~((ww > 0) & (ww <= 1)))
+    if len(bad):
+        raise ValueError(f"edge weight must lie in (0, 1]: {lines[1 + bad[0]]!r}")
+    return Graph(n, ii, jj, ww)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("body", [
+    "0\t1\t1\n1\t2\t0.5\n",
+    "1_000\t1001\t1\n",               # int() takes underscores, numpy does not
+    "1.0\t2\t1\n",                    # a float as an index
+    "0x10\t20\t1\n",
+    "0\t1\t1 # note\n",               # '#' inside a line
+    "0#\t1\t1\n",
+    "0\t1\tnan\n",
+    "0\t1\tinf\n",
+    "0\t1\t0\n",
+    "0\t1\t1.5\n",
+    "0\t1\t0.1_5\n",
+    "0\t1\t0x1p-1\n",
+    "0\t1\t1\t\n",                    # trailing tab
+    "0\t1\n",
+    "0\t1\t1\r\n1\t2\t0.5\r\n",       # CRLF endings
+    "\n\n0\t1\t1\n  \n\t\n1\t2\t1\n\n",  # blank lines
+    " 0 \t 1\t 0.25 \n",
+    "",                                # header only
+    f"{2 ** 63}\t{2 ** 63 + 1}\t1\n",  # index past int64
+    "0\t1\t1\n0\t1\t0.5\n",           # duplicate pair
+    "2\t1\t1\n",
+    "0\t3000\t1\n",
+    "\u0661\t\u0662\t1\n",              # Arabic-Indic digits
+    "\u01fe0\t1\t1\n",                 # numpy would read this index as 4620
+    "\U000200000\t1\t1\n",
+    "0\x1f\t1\t1\n",                   # numpy strips \x1f, int() does not
+])
+def test_tsv_parse_matches_line_loop(body):
+    text = "# n=2000\n" + body
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns on an empty body
+        assert _outcome(Graph.parse_tsv, text) == _outcome(_parse_tsv_by_lines, text)
+
+
+def test_tsv_parse_reads_plain_ascii_with_numpy(monkeypatch):
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: calls.append(1) or loadtxt(*a, **kw))
+    g = Graph(5, [0, 1, 3], [4, 2, 4], [1.0, 0.5, 0.1])
+    assert Graph.parse_tsv(g.format_tsv()) == g
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("labels", [
+    np.array([1, 2, 10, 1], dtype=np.int64),
+    [1, 2, 10, 1],
+])
+def test_write_labels_bytes(tmp_path, labels):
+    path = tmp_path / "labels.txt"
+    write_labels(path, labels)
+    assert path.read_bytes() == b"1\n2\n10\n1\n"
 
 
 def test_labels_round_trip(tmp_path):
