@@ -13,18 +13,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _validate
+
+
+def _log_n(n):
+    """log n, for a node count n that must be finite and at least 2."""
+    return math.log(_validate.at_least("n", _validate.real("n", n), 2))
+
 
 def bai_yin_limit(d):
     """2 sqrt(d): the almost-sure norm limit scale for dense-enough graphs."""
-    if d < 0:
-        raise ValueError("d must be nonnegative")
+    _validate.real("d", d, zero_ok=True)
     return 2.0 * math.sqrt(d)
 
 
 def bernstein_tail(sigma2, K, n, t):
     """Matrix Bernstein tail: min(1, 2n exp(-(t^2/2) / (sigma^2 + K t / 3)))."""
-    if sigma2 < 0 or K <= 0 or t < 0:
-        raise ValueError("need sigma2 >= 0, K > 0, t >= 0")
+    _validate.real("sigma2", sigma2, zero_ok=True)
+    _validate.real("K", K)
+    _validate.real("t", t, zero_ok=True)
     if t == 0:
         return 1.0
     return min(1.0, 2.0 * n * math.exp(-(t * t / 2.0) / (sigma2 + K * t / 3.0)))
@@ -32,11 +39,10 @@ def bernstein_tail(sigma2, K, n, t):
 
 def bernstein_expectation(sigma, K, n, C=1.0):
     """C (sigma sqrt(log n) + K log n)."""
-    if sigma < 0 or K < 0:
-        raise ValueError("sigma and K must be nonnegative")
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    ln = math.log(n)
+    _validate.real("sigma", sigma, zero_ok=True)
+    _validate.real("K", K, zero_ok=True)
+    C = _validate.real("C", C, zero_ok=True)
+    ln = _log_n(n)
     return C * (sigma * math.sqrt(ln) + K * ln)
 
 
@@ -48,20 +54,18 @@ def bvh_bound(variances, sup_bounds, C=1.0):
         raise ValueError("variances and sup_bounds must be equal-shape square arrays")
     if var.min(initial=0.0) < 0 or sup.min(initial=0.0) < 0:
         raise ValueError("entries must be nonnegative")
-    n = var.shape[0]
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    C = _validate.real("C", C, zero_ok=True)
+    ln = _log_n(var.shape[0])
     row = math.sqrt(float(var.sum(axis=1).max()))
-    return row + C * math.sqrt(math.log(n)) * float(sup.max())
+    return row + C * math.sqrt(ln) * float(sup.max())
 
 
 def bvh_er(n, p, C=1.0):
     """bvh_bound specialized to constant-p ER: sqrt((n-1)p(1-p)) + C sqrt(log n)."""
-    if not 0 <= p <= 1:
-        raise ValueError("p must lie in [0, 1]")
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    return math.sqrt((n - 1) * p * (1 - p)) + C * math.sqrt(math.log(n)) * (1.0 if 0 < p < 1 else 0.0)
+    _validate.real("p", p, zero_ok=True, at_most=1.0)
+    C = _validate.real("C", C, zero_ok=True)
+    ln = _log_n(n)
+    return math.sqrt((n - 1) * p * (1 - p)) + C * math.sqrt(ln) * (1.0 if 0 < p < 1 else 0.0)
 
 
 def seginer_stat(graph, expected=None):
@@ -93,11 +97,11 @@ def benaych_bound(d, n, C=1.0):
     makes 1 + log(log n / d) nonpositive the bound is undefined: warns and
     returns nan.
     """
-    if d < 0 or n < 2:
-        raise ValueError("need d >= 0 and n >= 2")
+    _validate.real("d", d, zero_ok=True)
+    C = _validate.real("C", C, zero_ok=True)
+    ln = _log_n(n)
     if not 4 <= d <= n ** (2.0 / 13.0):
         warnings.warn(f"benaych bound stated for 4 <= d <= n^(2/13); got d={d}, n={n}")
-    ln = math.log(n)
     if d <= 0 or ln / d <= 0 or 1.0 + math.log(ln / d) <= 0:
         warnings.warn("benaych bound undefined here (inner log nonpositive)")
         return math.nan
@@ -106,21 +110,18 @@ def benaych_bound(d, n, C=1.0):
 
 def regularized_concentration_bound(r, d, C=1.0):
     """C r^(3/2) sqrt(d), holding with probability 1 - n^(-r) after capping."""
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    if d < 0:
-        raise ValueError("d must be nonnegative")
+    r = _validate.at_least("r", _validate.real("r", r), 1)
+    _validate.real("d", d, zero_ok=True)
+    C = _validate.real("C", C, zero_ok=True)
     return C * r ** 1.5 * math.sqrt(d)
 
 
 def regularized_laplacian_bound(r, tau, d, C=1.0):
     """(C r^2 / sqrt(tau)) (1 + d/tau)^(5/2) for the Laplacian deviation."""
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    if d < 0:
-        raise ValueError("d must be nonnegative")
+    r = _validate.at_least("r", _validate.real("r", r), 1)
+    _validate.real("tau", tau)
+    _validate.real("d", d, zero_ok=True)
+    C = _validate.real("C", C, zero_ok=True)
     return (C * r * r / math.sqrt(tau)) * (1.0 + d / tau) ** 2.5
 
 
@@ -141,12 +142,11 @@ def recovery_thresholds(a, b, n, C=1.0):
     strong consistency iff |sqrt(a/log n) - sqrt(b/log n)| > sqrt(2); partial
     recovery reported as snr > C with the caller's constant.
     """
-    if a < 0 or b < 0:
-        raise ValueError("a and b must be nonnegative")
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    _validate.real("a", a, zero_ok=True)
+    _validate.real("b", b, zero_ok=True)
+    C = _validate.real("C", C, zero_ok=True)
+    ln = _log_n(n)
     snr = 0.0 if a + b == 0 else (a - b) ** 2 / (a + b)
-    ln = math.log(n)
     strong = abs(math.sqrt(a / ln) - math.sqrt(b / ln)) > math.sqrt(2.0)
     return RecoveryThresholds(
         snr=snr,
@@ -165,13 +165,13 @@ def classify_regime(n, d):
     dense: d >= n/10; sparse: d <= 10; semi-sparse: d <= 3 log n; else
     semi-dense.  Checked in that order so each (n, d) gets exactly one label.
     """
-    if n < 2 or d < 0:
-        raise ValueError("need n >= 2 and d >= 0")
+    ln = _log_n(n)
+    _validate.real("d", d, zero_ok=True)
     if d >= n / 10.0:
         return "dense"
     if d <= 10.0:
         return "sparse"
-    if d <= 3.0 * math.log(n):
+    if d <= 3.0 * ln:
         return "semi-sparse"
     return "semi-dense"
 

@@ -17,9 +17,10 @@ import sys
 
 import numpy as np
 
+from . import _validate
 from . import bounds as bounds_mod
 from . import experiments
-from .detect import MODES, misclassification_rate, spectral_cluster
+from .detect import misclassification_rate, spectral_cluster
 from .models import (
     ER,
     Graph,
@@ -40,15 +41,13 @@ from .spectral import NonConvergenceError, SymmetricOperator
 
 
 def _resolve_seed(value):
-    if value is not None:
-        return value
     env = os.environ.get("SPECGRAPH_SEED")
-    if env is not None:
+    if value is None and env is not None:
         try:
-            return int(env)
+            value = int(env)
         except ValueError as exc:
             raise ValueError(f"SPECGRAPH_SEED must be an integer, got {env!r}") from exc
-    return 0
+    return _validate.at_least("seed", 0 if value is None else value, 0)
 
 
 def _write_text(path, text):
@@ -119,8 +118,6 @@ def _cmd_reg(args):
     report = {"mode": args.mode, "n": g.n, "edges_in": g.m}
     if args.mode == "cap":
         d_hat = args.d_hat if args.d_hat is not None else dbar
-        if d_hat <= 0:
-            raise ValueError("cap mode needs a positive --d-hat (or a nonempty graph)")
         out, rep = degree_regularize(g, d_hat, args.cap_multiplier)
         report.update(json.loads(rep.to_json()))
         report["d_hat"] = d_hat
@@ -146,9 +143,7 @@ def _cmd_reg(args):
 def _cmd_detect(args):
     g = Graph.from_tsv(args.infile)
     seed = _resolve_seed(args.seed)
-    method = args.method.lower()
-    if method not in MODES:
-        raise ValueError(f"unknown method {args.method!r}; choose from {MODES}")
+    method = args.method.lower()  # spectral_cluster rejects an unknown one
     tau = None
     if method in ("laplacian-second-largest", "top-k-embedding"):
         # 0 asks for the plain Laplacian; choose_tau checks every other rho

@@ -8,6 +8,7 @@ import numpy as np
 from scipy.cluster.vq import kmeans2, vq
 from scipy.optimize import linear_sum_assignment
 
+from . import _validate
 from .spectral import _DEFAULT_SEED, top_eigs
 
 MODES = (
@@ -42,9 +43,11 @@ def misclassification_rate(estimate, truth):
         return 0.0
     if min(estimate.min(), truth.min()) < 1:
         raise ValueError("labels must lie in 1..K")
-    K = int(max(estimate.max(), truth.max()))
-    conf = np.zeros((K, K), dtype=np.int64)
-    np.add.at(conf, (estimate - 1, truth - 1), 1)
+    # over the labels that occur: 1..max label can be terabytes for one label
+    est_labels, est = np.unique(estimate, return_inverse=True)
+    true_labels, tru = np.unique(truth, return_inverse=True)
+    conf = np.zeros((len(est_labels), len(true_labels)), dtype=np.int64)
+    np.add.at(conf, (est, tru), 1)
     rows, cols = linear_sum_assignment(-conf)
     return float(n - int(conf[rows, cols].sum())) / n
 
@@ -99,9 +102,8 @@ def spectral_cluster(op, K=2, mode="laplacian-second-largest", seed=None):
     n x K matrix of leading eigenvectors.
     """
     if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    if K < 2:
-        raise ValueError("K must be at least 2")
+        raise ValueError(f"unknown method {mode!r}; choose from {MODES}")
+    _validate.at_least("K", K, 2)
     if mode == "top-k-embedding":
         pairs = top_eigs(op, K, which="largest-algebraic", seed=seed)
         U = np.column_stack([p.vector for p in pairs])

@@ -28,9 +28,7 @@ import ctypes
 import functools
 import glob
 import math
-import numbers
 import os
-import sys
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -38,11 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _validate
 from . import bounds as bounds_mod
 from .detect import misclassification_rate, sign_partition
 from .models import ER, PlantedPartition, expected_matrix, sample
 from .regularize import (
-    _check,
     choose_tau,
     degree_regularize,
     expected_regularized_laplacian,
@@ -97,22 +95,19 @@ def _positive(x):
     return isinstance(x, float) and math.isfinite(x) and x > 0
 
 
-def _number(name, x, integral=False):
-    """x as an int (integral) or a finite float; a bool is neither."""
-    kind = numbers.Integral if integral else numbers.Real
-    # false for nan, inf and an int too large for a float (math.isfinite overflows)
-    if (isinstance(x, bool) or not isinstance(x, kind)
-            or not (integral or abs(x) <= sys.float_info.max)):
-        what = "an integer" if integral else "a finite number"
-        raise ValueError(f"{name} must be {what}, got {x!r}")
-    return int(x) if integral else float(x)
+def _knobs(R, seed, tau_rho, cap_multiplier):
+    """The knobs every grid takes, checked and keyed by their config names."""
+    return {"R": _validate.integer("R", R, 1),
+            "seed": _validate.integer("seed", seed, 0),
+            "tau_rho": _validate.real("tau_rho", tau_rho, at_most=1.0),
+            "cap_multiplier": _validate.real("cap_multiplier", cap_multiplier)}
 
 
 def _ab(pair):
-    """An ab_grid entry as a pair of finite floats (a, b)."""
+    """An ab_grid entry as a pair of finite nonnegative floats (a, b)."""
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ValueError(f"ab_grid entries must be [a, b] pairs, got {pair!r}")
-    return _number("a", pair[0]), _number("b", pair[1])
+    return tuple(_validate.real(k, x, zero_ok=True) for k, x in zip("ab", pair))
 
 
 @dataclass(frozen=True)
@@ -140,27 +135,17 @@ class ExperimentConfig:
             raise ValueError("model must be 'er' or 'pp'")
         if self.regularization not in REGULARIZATIONS:
             raise ValueError(f"regularization must be one of {REGULARIZATIONS}")
-        for name, value in {
-            "R": _number("R", self.R, True),
-            "seed": _number("seed", self.seed, True),
-            "n_grid": tuple(_number("n", n, True) for n in self.n_grid),
-            "d_grid": tuple(_number("d", d) for d in self.d_grid),
+        knobs = _knobs(self.R, self.seed, self.tau_rho, self.cap_multiplier)
+        for name, value in (knobs | {
+            # the bound rows need n >= 2 (bounds.bernstein_expectation)
+            "n_grid": tuple(_validate.integer("n", n, 2) for n in self.n_grid),
+            "d_grid": tuple(_validate.real("d", d, zero_ok=True) for d in self.d_grid),
             "ab_grid": tuple(map(_ab, self.ab_grid)),
-            "tau_rho": _number("tau_rho", self.tau_rho),
-            "cap_multiplier": _number("cap_multiplier", self.cap_multiplier),
-        }.items():
+        }).items():
             object.__setattr__(self, name, value)
-        _check("tau_rho", self.tau_rho, at_most=1.0)
-        _check("cap_multiplier", self.cap_multiplier)
-        if self.R < 1:
-            raise ValueError("R must be at least 1")
-        # the bound rows need n >= 2 (bounds.bernstein_expectation)
-        if not self.n_grid or min(self.n_grid) < 2:
-            raise ValueError("n grid must be nonempty, with every n at least 2")
-        if self.model == "er" and len(self.d_grid) == 0:
-            raise ValueError("er sweeps need a d grid")
-        if self.model == "pp" and len(self.ab_grid) == 0:
-            raise ValueError("pp sweeps need an (a, b) grid")
+        for grid in ("n_grid", "d_grid" if self.model == "er" else "ab_grid"):
+            if not getattr(self, grid):
+                raise ValueError(f"{self.model} sweeps need a nonempty {grid}")
         # what every replicate would reject, but only after sampling its graph
         capped = self.regularization in ("degree-cap", "vertex-removal")
         if capped and self.model == "er" and 0 in self.d_grid:
@@ -176,7 +161,7 @@ class ExperimentConfig:
         degrees = (self.d_grid if self.model == "er"
                    else [(a + b) / 2.0 for a, b in self.ab_grid])
         for d in degrees if capped else ():
-            _check("cap_multiplier * d", self.cap_multiplier * d)
+            _validate.real("cap_multiplier * d", self.cap_multiplier * d)
 
 
 @dataclass
@@ -305,8 +290,8 @@ def _run_grid(points, R, seed, replicate_fn, threads=None):
     threads is None (one worker per core) or an integer >= 1.  BLAS stays at
     one thread for the whole grid, whatever the pool size (module docstring).
     """
-    if threads is not None and _number("threads", threads, integral=True) < 1:
-        raise ValueError(f"threads must be at least 1, got {threads!r}")
+    if threads is not None:
+        _validate.integer("threads", threads, 1)
     out = np.full((2, len(points), R), np.nan)
 
     def job(task):
@@ -489,24 +474,17 @@ def phase_sweep(d, snr_grid, n=4000, R=50, method="both", tau_rho=0.25,
     if method not in ("both", *PHASE_METHODS):
         raise ValueError(f"method must be 'both' or one of {PHASE_METHODS}")
     methods = PHASE_METHODS if method == "both" else (method,)
-    n, R, seed = (_number(name, x, integral=True)
-                  for name, x in (("n", n), ("R", R), ("seed", seed)))
-    _check("d", d)
-    for s in snr_grid:
-        _check("snr", s, zero_ok=True)
-    _check("tau_rho", tau_rho, at_most=1.0)
-    _check("cap_multiplier", cap_multiplier)
-    if R < 1:
-        raise ValueError("R must be at least 1")
-    if n < 2:  # each replicate solves for k = 2 eigenpairs
-        raise ValueError(f"n must be at least 2, got {n}")
+    R, seed, tau_rho, cap_multiplier = _knobs(R, seed, tau_rho, cap_multiplier).values()
+    n = _validate.integer("n", n, 2)  # each replicate solves for k = 2 pairs
+    d = _validate.real("d", d)
+    snr_grid = [_validate.real("snr", s, zero_ok=True) for s in snr_grid]
     points, infeasible = [], []
     for s in snr_grid:
         delta = math.sqrt(2.0 * d * s) / 2.0
         a, b = d + delta, d - delta
         for meth in methods:
-            pt = {"model": "pp", "n": n, "d": float(d), "a": a, "b": b,
-                  "snr": float(s), "method": meth,
+            pt = {"model": "pp", "n": n, "d": d, "a": a, "b": b,
+                  "snr": s, "method": meth,
                   "regularization": "degree-cap" if meth == "reg-adjacency"
                                     else "tau-laplacian",
                   "tau_rho": tau_rho, "cap_multiplier": cap_multiplier}
@@ -514,7 +492,7 @@ def phase_sweep(d, snr_grid, n=4000, R=50, method="both", tau_rho=0.25,
                 infeasible.append(pt)
                 continue
             if meth == "reg-adjacency":  # the cap is cap_multiplier * a
-                _check("cap_multiplier * a", cap_multiplier * a)
+                _validate.real("cap_multiplier * a", cap_multiplier * a)
             points.append(pt | {"spec": PlantedPartition(a, b)})
     acc, _ = _run_grid(points, R, seed, _phase_replicate, threads)
     records = [_row(pt, seed, "accuracy", *_mean_stderr(acc[gi]))

@@ -15,6 +15,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 import scipy.sparse as sp
 
+from . import _validate
+
 # largest n with a dense n x n P (LSM, IERM): 4096^2 doubles are 128 MB
 DENSE_LIMIT = 4096
 
@@ -37,8 +39,7 @@ class Graph:
         i = np.asarray(i, dtype=np.int64)
         j = np.asarray(j, dtype=np.int64)
         w = np.asarray(w, dtype=np.float64)
-        if n < 0:
-            raise ValueError("n must be nonnegative")
+        _validate.at_least("n", n, 0)
         if not (len(i) == len(j) == len(w)):
             raise ValueError("edge arrays must have equal length")
         if len(i) and (i.min() < 0 or j.max() >= n):
@@ -175,8 +176,7 @@ class ER:
     p: float
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"edge probability must lie in [0, 1], got {self.p}")
+        _validate.real("p", self.p, zero_ok=True, at_most=1.0)
 
 
 @dataclass(frozen=True)
@@ -191,9 +191,8 @@ class PlantedPartition:
     b: float
 
     def __post_init__(self):
-        for name, x in (("a", self.a), ("b", self.b)):
-            if not 0 <= x < np.inf:  # false for nan
-                raise ValueError(f"{name} must be finite and nonnegative, got {x!r}")
+        _validate.real("a", self.a, zero_ok=True)
+        _validate.real("b", self.b, zero_ok=True)
 
 
 @dataclass(frozen=True)
@@ -327,7 +326,7 @@ def model_from_json(text):
         raise ValueError(f"bad {kind} spec: a boolean is not a number")
     try:
         return _KINDS[kind](**params)
-    except TypeError as exc:  # missing, unknown or wrong-typed parameter
+    except (TypeError, ValueError) as exc:  # missing, unknown or bad parameter
         raise ValueError(f"bad {kind} spec: {exc}") from None
 
 
@@ -436,8 +435,7 @@ def _block_form(spec, labels):
         return np.ones(n, dtype=np.int64), np.array([[float(spec.p)]]), None
     if isinstance(spec, PlantedPartition):
         a, b = spec.a / n, spec.b / n
-        if max(a, b) > 1.0:
-            raise ValueError("a/n and b/n must be at most 1")
+        _validate.real("max(a, b) / n", max(a, b), zero_ok=True, at_most=1.0)
         return labels, np.array([[a, b], [b, a]]), None
     if isinstance(spec, SBM):
         return labels, np.array(spec.B), None
@@ -651,8 +649,7 @@ def sample(spec, n, seed):
     Labels are drawn first (where random), then each upper-triangle entry is
     an independent Bernoulli(P_ij).  Deterministic given (spec, n, seed).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _validate.at_least("n", n, 1)
     rng = _rng(seed)
     labels = planted_labels(spec, n, rng)
     block = _block_form(spec, labels)  # validates probabilities vs n

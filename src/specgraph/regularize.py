@@ -14,18 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _validate
 from .models import Graph
 from .spectral import SymmetricOperator
-
-
-def _check(name, value, zero_ok=False, at_most=math.inf):
-    """Raise unless value is finite, > 0 (or 0, where zero_ok) and <= at_most."""
-    if not (math.isfinite(value) and (value > 0 or zero_ok and value == 0)
-            and value <= at_most):
-        kind = "nonnegative" if zero_ok else "positive"
-        if at_most < math.inf:
-            kind += f" and at most {at_most:g}"
-        raise ValueError(f"{name} must be finite and {kind}, got {value!r}")
 
 
 @dataclass
@@ -66,10 +57,10 @@ def degree_regularize(graph, d_hat, cap_multiplier=2.0):
     clean to absorb floating-point drift.  Edges not incident to a touched
     vertex are returned unchanged.
     """
-    _check("d_hat", d_hat)
-    _check("cap_multiplier", cap_multiplier)
+    _validate.real("d_hat", d_hat)
+    _validate.real("cap_multiplier", cap_multiplier)
     cap = cap_multiplier * d_hat
-    _check("cap_multiplier * d_hat", cap)
+    _validate.real("cap_multiplier * d_hat", cap)
     n = graph.n
     w = graph.w.copy()
     deg = graph.degrees()
@@ -117,7 +108,7 @@ def remove_high_degree(graph, threshold):
     The vertex set is preserved; rows of offenders become all-zero.  Surviving
     vertices can keep degrees up to the threshold.
     """
-    _check("threshold", threshold)
+    _validate.real("threshold", threshold)
     deg = graph.degrees()
     bad = deg > threshold
     keep = ~(bad[graph.i] | bad[graph.j])
@@ -134,14 +125,14 @@ def laplacian(graph):
 
 def tau_regularize(graph, tau):
     """A_tau = A + (tau/n) 11^T as a matrix-free operator (never densified)."""
-    _check("tau", tau, zero_ok=True)
+    _validate.real("tau", tau, zero_ok=True)
     return SymmetricOperator.compose(graph.n, sparse=graph.adjacency(),
                                      rank_one=tau / graph.n)
 
 
 def regularized_laplacian(graph, tau):
     """L(A_tau): diagonal scaling (d_i + tau)^{-1/2} around A + (tau/n) 11^T."""
-    _check("tau", tau, zero_ok=True)
+    _validate.real("tau", tau, zero_ok=True)
     deg = graph.degrees()
     if tau == 0 and np.any(deg == 0):
         raise ValueError("tau = 0 requires a graph without isolated vertices")
@@ -152,7 +143,7 @@ def regularized_laplacian(graph, tau):
 
 def expected_regularized_laplacian(expected, tau):
     """L(E[A] + (tau/n) 11^T), the population counterpart of L(A_tau)."""
-    _check("tau", tau, zero_ok=True)
+    _validate.real("tau", tau, zero_ok=True)
     rows = expected.row_sums()
     if tau == 0 and np.any(rows <= 0):
         raise ValueError("tau = 0 requires positive expected degrees")
@@ -164,5 +155,5 @@ def expected_regularized_laplacian(expected, tau):
 def choose_tau(graph, rho=0.25):
     """tau = rho * (average degree), or 0 on an empty graph; rho = 1 gives
     the plain degree-sum rule."""
-    _check("rho", rho, at_most=1.0)
+    _validate.real("rho", rho, at_most=1.0)
     return rho * float(graph.degrees().mean()) if graph.m else 0.0

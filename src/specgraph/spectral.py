@@ -26,6 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from . import _validate
 from .models import DENSE_LIMIT
 
 _DEFAULT_SEED = 0x5EEDED
@@ -252,9 +253,7 @@ def top_eigs(op, k, which="largest-algebraic", tol=1e-8, seed=None, max_basis=No
     """
     if which not in _WHICH:
         raise ValueError(f"which must be one of {tuple(_WHICH)}")
-    # nan fails this too; tol = inf would pass every residual check below
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    _validate.real("tol", tol)  # tol = inf would pass every residual check below
     n = op.n
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")

@@ -240,3 +240,22 @@ def test_validation_errors():
         recovery_thresholds(-1.0, 1.0, 10)
     with pytest.raises(ValueError):
         classify_regime(1, 5.0)
+    # NaN and infinity fail every rule, wherever they appear
+    nan, inf = math.nan, math.inf
+    for bound, args in [
+            (bai_yin_limit, (nan,)), (bai_yin_limit, (inf,)),
+            (bernstein_tail, (1.0, nan, 2, 1.0)), (bernstein_tail, (1.0, 1.0, 2, inf)),
+            (bernstein_expectation, (nan, 1.0, 10)),
+            (bernstein_expectation, (1.0, 1.0, 10, inf)),
+            (bvh_er, (nan, 0.5)), (bvh_er, (10, nan)), (bvh_er, (10, 0.5, inf)),
+            (benaych_bound, (nan, 100)), (benaych_bound, (4.0, inf)),
+            (regularized_concentration_bound, (nan, 4.0)),
+            (regularized_concentration_bound, (inf, 4.0)),
+            (regularized_concentration_bound, (1.0, inf)),
+            (regularized_laplacian_bound, (1.0, nan, 4.0)),
+            (regularized_laplacian_bound, (1.0, inf, 4.0)),
+            (regularized_laplacian_bound, (1.0, 4.0, 4.0, nan)),
+            (recovery_thresholds, (nan, 1.0, 10)), (recovery_thresholds, (1.0, 1.0, inf)),
+            (classify_regime, (nan, 5.0)), (classify_regime, (10, inf))]:
+        with pytest.raises(ValueError, match="must be finite"):
+            bound(*args)

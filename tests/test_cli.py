@@ -128,6 +128,13 @@ def test_gen_seed_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("SPECGRAPH_SEED", "not-a-number")
     code, _, err = run(capsys, "gen", "--model", "er", "--p", "0.5", "--n", "9")
     assert code == 2 and "SPECGRAPH_SEED" in err
+    # numpy's "expected non-negative integer" named neither source
+    for env, flags in (("-1", ()), ("7", ("--seed", "-1"))):
+        monkeypatch.setenv("SPECGRAPH_SEED", env)
+        code, out, err = run(capsys, "gen", "--model", "er", "--p", "0.5",
+                             "--n", "9", *flags)
+        assert code == 2 and out == "", (env, flags)
+        assert "error: seed must be nonnegative, got -1" in err, (env, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +488,14 @@ def test_sweep_ratios_match_bounds_command(capsys):
 def test_bounds_missing_parameter(capsys):
     code, _, err = run(capsys, "bounds", "--bound", "bai-yin")
     assert code == 2 and "--d" in err
+    # a NaN or infinite argument used to print nan or inf and exit 0
+    for argv in (("bai-yin", "--d", "nan"), ("bai-yin", "--d", "inf"),
+                 ("thm54", "--tau", "nan", "--d", "4"),
+                 ("thm51", "--r", "nan", "--d", "4"),
+                 ("bernstein", "--sigma", "nan", "--bigk", "1", "--n", "10")):
+        code, out, err = run(capsys, "bounds", "--bound", *argv)
+        assert code == 2 and out == "", argv
+        assert "must be finite" in err, (argv, err)
 
 
 def test_help_exits_zero(capsys):

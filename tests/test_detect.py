@@ -41,6 +41,9 @@ def test_misclassification_hand_counted():
     est = np.array([1, 1, 2, 2])
     truth = np.array([1, 2, 2, 2])
     assert misclassification_rate(est, truth) == pytest.approx(0.25)
+    # a table over 1..3_000_000 would need 72 TB
+    big = np.array([1, 2, 2, 3_000_000])
+    assert misclassification_rate(est, big) == pytest.approx(0.5)
 
 
 def test_misclassification_label_swap_is_free():

@@ -439,7 +439,8 @@ def test_phase_sweep_validation():
     for knob, value in [("tau_rho", math.nan), ("tau_rho", 0.0), ("tau_rho", 1.5),
                         ("cap_multiplier", math.nan), ("cap_multiplier", math.inf),
                         ("cap_multiplier", 0.0), ("n", 60.7), ("n", 0),
-                        ("seed", 1.5), ("R", True)]:
+                        ("seed", 1.5), ("seed", -1), ("R", True),
+                        ("tau_rho", True), ("cap_multiplier", True)]:
         kwargs = {"n": 60, "R": 1, knob: value}
         with pytest.raises(ValueError, match=f"^{knob} must"):
             phase_sweep(4.0, (1.0,), **kwargs)
