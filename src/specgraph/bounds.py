@@ -31,6 +31,7 @@ def bernstein_tail(sigma2, K, n, t):
     """Matrix Bernstein tail: min(1, 2n exp(-(t^2/2) / (sigma^2 + K t / 3)))."""
     _validate.real("sigma2", sigma2, zero_ok=True)
     _validate.real("K", K)
+    _validate.real("n", n)
     _validate.real("t", t, zero_ok=True)
     if t == 0:
         return 1.0
@@ -52,8 +53,9 @@ def bvh_bound(variances, sup_bounds, C=1.0):
     sup = np.asarray(sup_bounds, dtype=np.float64)
     if var.shape != sup.shape or var.ndim != 2 or var.shape[0] != var.shape[1]:
         raise ValueError("variances and sup_bounds must be equal-shape square arrays")
-    if var.min(initial=0.0) < 0 or sup.min(initial=0.0) < 0:
-        raise ValueError("entries must be nonnegative")
+    # each test is false for nan, so a nan entry is rejected too
+    if not np.all((var >= 0) & (var < np.inf) & (sup >= 0) & (sup < np.inf)):
+        raise ValueError("entries must be finite and nonnegative")
     C = _validate.real("C", C, zero_ok=True)
     ln = _log_n(var.shape[0])
     row = math.sqrt(float(var.sum(axis=1).max()))

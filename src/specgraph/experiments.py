@@ -294,14 +294,22 @@ def _run_grid(points, R, seed, replicate_fn, threads=None):
         _validate.integer("threads", threads, 1)
     out = np.full((2, len(points), R), np.nan)
 
+    failed = threading.Event()
+
     def job(task):
         gi, r = task
-        out[:, gi, r] = replicate_fn(points[gi], [seed, gi, r, 0],
-                                     [seed, gi, r, 1])
+        if failed.is_set():  # a replicate raised; map is cancelling the rest
+            return
+        try:
+            out[:, gi, r] = replicate_fn(points[gi], [seed, gi, r, 0],
+                                         [seed, gi, r, 1])
+        except BaseException:
+            failed.set()
+            raise
 
     tasks = [(gi, r) for gi in range(len(points)) for r in range(R)]
     workers = threads or os.cpu_count() or 1
-    # map cancels the queued tasks once a result raises
+    # map raises the first failure and cancels the tasks still queued
     with _single_threaded_blas, ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(job, tasks))
     return out[0], out[1]
@@ -410,6 +418,7 @@ def eigenvector_study(n=50, a=5.0, b=0.1, rho=0.1, seed=0):
     misclassification pair scores the sign rule on the second eigenvector of
     each operator against the planted labels.
     """
+    n = _validate.integer("n", n, 3)  # each operator solves for k = 3 pairs
     g, labels = sample(PlantedPartition(a, b), n, [seed, 0])
     tau = choose_tau(g, rho)
     pairs_plain = top_eigs(laplacian(g), 3, which="largest-algebraic",
@@ -478,6 +487,8 @@ def phase_sweep(d, snr_grid, n=4000, R=50, method="both", tau_rho=0.25,
     n = _validate.integer("n", n, 2)  # each replicate solves for k = 2 pairs
     d = _validate.real("d", d)
     snr_grid = [_validate.real("snr", s, zero_ok=True) for s in snr_grid]
+    if not snr_grid:
+        raise ValueError("phase sweeps need a nonempty snr_grid")
     points, infeasible = [], []
     for s in snr_grid:
         delta = math.sqrt(2.0 * d * s) / 2.0

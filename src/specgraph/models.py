@@ -75,12 +75,15 @@ class Graph:
         Vertex v's neighbors, ascending, are neighbors[indptr[v]:indptr[v+1]],
         and ids holds the index into i, j, w of each of those edges.
         """
-        tails = np.concatenate([self.i, self.j])
-        heads = np.concatenate([self.j, self.i])
-        order = np.argsort(tails * self.n + heads)
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(tails, minlength=self.n), out=indptr[1:])
-        return indptr, heads[order], np.tile(np.arange(self.m), 2)[order]
+        # COO -> CSR is a stable counting sort by row and the edges arrive
+        # sorted by i*n + j, so row v lists its columns i < v, then j > v,
+        # each ascending: the CSR is canonical and scipy sorts nothing.
+        ids = np.arange(self.m)
+        A = sp.csr_matrix((np.concatenate([ids, ids]),
+                           (np.concatenate([self.j, self.i]),
+                            np.concatenate([self.i, self.j]))),
+                          shape=(self.n, self.n))
+        return A.indptr, A.indices, A.data
 
     def adjacency(self):
         """Symmetric CSR adjacency matrix (cached)."""
@@ -357,7 +360,7 @@ class ExpectedMatrix:
         # fixed per matrix: 0-based labels and the diagonal theta^2 B_cc
         # that P leaves out (see block_factors)
         self._c = self.labels - 1
-        self._diag = self.theta ** 2 * self.B[self._c, self._c]
+        self._diag = self.theta ** 2 * np.diag(self.B)[self._c]
 
     @classmethod
     def from_dense(cls, P):
@@ -427,25 +430,6 @@ class ExpectedMatrix:
         return P
 
 
-def _block_form(spec, labels):
-    """(labels, B, theta) of a block model's E[A], theta None when all ones;
-    None for a dense-P model (LSM, IERM)."""
-    n = len(labels)
-    if isinstance(spec, ER):  # one block, whatever the labels
-        return np.ones(n, dtype=np.int64), np.array([[float(spec.p)]]), None
-    if isinstance(spec, PlantedPartition):
-        a, b = spec.a / n, spec.b / n
-        _validate.real("max(a, b) / n", max(a, b), zero_ok=True, at_most=1.0)
-        return labels, np.array([[a, b], [b, a]]), None
-    if isinstance(spec, SBM):
-        return labels, np.array(spec.B), None
-    if isinstance(spec, DCSBM):
-        if len(spec.theta) != n:
-            raise ValueError("theta length must equal the number of labels")
-        return labels, np.array(spec.B), np.array(spec.theta)
-    return None
-
-
 def expected_matrix(spec, labels):
     """E[A] for the given spec conditioned on the given labels.
 
@@ -454,9 +438,14 @@ def expected_matrix(spec, labels):
     """
     labels = np.asarray(labels, dtype=np.int64)
     n = len(labels)
-    block = _block_form(spec, labels)
-    if block is not None:
-        return ExpectedMatrix(*block)
+    if isinstance(spec, ER):  # one block, whatever the labels
+        return ExpectedMatrix(np.ones(n, dtype=np.int64), [[spec.p]])
+    if isinstance(spec, PlantedPartition):
+        a, b = spec.a / n, spec.b / n
+        _validate.real("max(a, b) / n", max(a, b), zero_ok=True, at_most=1.0)
+        return ExpectedMatrix(labels, [[a, b], [b, a]])
+    if isinstance(spec, (SBM, DCSBM)):
+        return ExpectedMatrix(labels, spec.B, getattr(spec, "theta", None))
     if isinstance(spec, (LSM, IERM)) and n > DENSE_LIMIT:
         raise ValueError(f"refusing a dense P for n={n} > {DENSE_LIMIT}")
     if isinstance(spec, LSM):
@@ -585,7 +574,7 @@ def _sample_block_model(n, labels, B, theta, rng):
     """Candidate edges per (community, community) block, thinned for theta."""
     K = B.shape[0]
     groups = [np.flatnonzero(labels == k + 1) for k in range(K)]
-    out_i, out_j = [], []
+    out_i, out_j = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for k in range(K):
         gk = groups[k]
         for l in range(k, K):
@@ -623,24 +612,20 @@ def _sample_block_model(n, labels, B, theta, rng):
             if len(gi):
                 out_i.append(gi)
                 out_j.append(gj)
-    if out_i:
-        return np.concatenate(out_i), np.concatenate(out_j)
-    return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    return np.concatenate(out_i), np.concatenate(out_j)
 
 
 def _sample_dense(P, rng):
     """Row-major upper-triangle Bernoulli draws against a dense P."""
     n = len(P)
-    out_i, out_j = [], []
+    out_i, out_j = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for r in range(n - 1):
         row = P[r, r + 1:]
         hits = np.flatnonzero(rng.random(n - 1 - r) < row)
         if len(hits):
             out_i.append(np.full(len(hits), r, dtype=np.int64))
             out_j.append(hits + r + 1)
-    if out_i:
-        return np.concatenate(out_i), np.concatenate(out_j)
-    return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    return np.concatenate(out_i), np.concatenate(out_j)
 
 
 def sample(spec, n, seed):
@@ -652,9 +637,10 @@ def sample(spec, n, seed):
     _validate.at_least("n", n, 1)
     rng = _rng(seed)
     labels = planted_labels(spec, n, rng)
-    block = _block_form(spec, labels)  # validates probabilities vs n
-    if block is None:  # a dense P is stored as B with one block per node
-        gi, gj = _sample_dense(expected_matrix(spec, labels).B, rng)
-    else:
-        gi, gj = _sample_block_model(n, *block, rng)
+    E = expected_matrix(spec, labels)  # validates probabilities vs n
+    if isinstance(spec, (LSM, IERM)):  # a dense P: B with one block per node
+        gi, gj = _sample_dense(E.B, rng)
+    else:  # theta of all ones would spend draws on thinning
+        theta = E.theta if isinstance(spec, DCSBM) else None
+        gi, gj = _sample_block_model(n, E.labels, E.B, theta, rng)
     return Graph(n, gi, gj, np.ones(len(gi))), labels

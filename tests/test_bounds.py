@@ -256,6 +256,10 @@ def test_validation_errors():
             (regularized_laplacian_bound, (1.0, inf, 4.0)),
             (regularized_laplacian_bound, (1.0, 4.0, 4.0, nan)),
             (recovery_thresholds, (nan, 1.0, 10)), (recovery_thresholds, (1.0, 1.0, inf)),
-            (classify_regime, (nan, 5.0)), (classify_regime, (10, inf))]:
+            (classify_regime, (nan, 5.0)), (classify_regime, (10, inf)),
+            (bernstein_tail, (1.0, 1.0, nan, 2)), (bernstein_tail, (1.0, 1.0, inf, 2)),
+            *[(bvh_bound, pair) for x in (nan, inf, -inf) for pair in (
+                ([[0, x], [x, 0]], [[0, 1], [1, 0]]),
+                ([[0, 1], [1, 0]], [[0, x], [x, 0]]))]]:
         with pytest.raises(ValueError, match="must be finite"):
             bound(*args)

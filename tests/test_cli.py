@@ -362,6 +362,7 @@ def test_phase_bad_inputs(monkeypatch, capsys):
     cases += [(("--snr", "1", "--tau-rho", r), "tau_rho must") for r in ("nan", "0", "2")]
     # every replicate solves for two eigenpairs
     cases += [(("--snr", "1", "--n", n), f"n must be at least 2, got {n}") for n in ("0", "1")]
+    cases += [(("--snr", s), "phase sweeps need a nonempty snr_grid") for s in (",", "")]
     for flags, needle in cases:
         code, out, err = run(capsys, "phase", "--n", "60", "--R", "1", *flags)
         assert code == 2 and out == "", flags
@@ -428,6 +429,15 @@ def test_fig_eigvec_shape(capsys):
     report = json.loads(err)
     assert {"tau", "misclassification_unregularized",
             "misclassification_regularized"} <= set(report)
+
+
+def test_fig_eigvec_needs_three_nodes(capsys, monkeypatch):
+    def no_sample(*args):
+        raise AssertionError("a graph was sampled")
+    monkeypatch.setattr(experiments, "sample", no_sample)
+    code, out, err = run(capsys, "fig-eigvec", "--n", "2", "--a", "1", "--b", "0.1")
+    assert code == 2 and out == ""
+    assert "error: n must be at least 3, got 2" in err
 
 
 def test_nonconvergence_exit_code(capsys, monkeypatch):

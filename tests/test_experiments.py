@@ -337,6 +337,17 @@ def test_eigenvector_study_table_shape_and_csv():
     assert all(len(line.split(",")) == 6 for line in lines[1:])
 
 
+def test_eigenvector_study_needs_three_nodes(monkeypatch):
+    # each operator solves for three eigenpairs; the rule holds before sampling
+    def no_sample(*args):
+        raise AssertionError("a graph was sampled")
+    monkeypatch.setattr(experiments, "sample", no_sample)
+    for n, needle in ((2, "n must be at least 3, got 2"), (0, "at least 3"),
+                      (2.5, "n must be an integer"), (True, "n must be an integer")):
+        with pytest.raises(ValueError, match=needle):
+            eigenvector_study(n=n, a=1.0, b=0.1)
+
+
 def test_eigenvector_study_deterministic():
     a = eigenvector_study(seed=6)
     b = eigenvector_study(seed=6)
@@ -436,6 +447,8 @@ def test_phase_sweep_validation():
         phase_sweep(4.0, (1.0,), method="oracle")
     with pytest.raises(ValueError):
         phase_sweep(0.0, (1.0,))
+    with pytest.raises(ValueError, match="phase sweeps need a nonempty snr_grid"):
+        phase_sweep(4.0, (), n=60, R=1)
     for knob, value in [("tau_rho", math.nan), ("tau_rho", 0.0), ("tau_rho", 1.5),
                         ("cap_multiplier", math.nan), ("cap_multiplier", math.inf),
                         ("cap_multiplier", 0.0), ("n", 60.7), ("n", 0),

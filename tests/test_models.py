@@ -354,6 +354,9 @@ def test_dcsbm_validation():
     for x in (math.nan, math.inf):
         with pytest.raises(ValueError, match="theta"):
             DCSBM((1.0,), ((0.0,),), (x, 1.0, 1.0))
+    # sample checks theta against its n through expected_matrix
+    with pytest.raises(ValueError, match="theta length must equal the number of labels"):
+        sample(DCSBM((0.5, 0.5), ((0.5, 0.1), (0.1, 0.5)), (1.0,) * 3), 4, 0)
 
 
 def test_ierm_validation():
