@@ -5,8 +5,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.cluster.vq import kmeans2, vq
-from scipy.optimize import linear_sum_assignment
 
 from . import _validate
 from .spectral import _DEFAULT_SEED, top_eigs
@@ -48,8 +46,19 @@ def misclassification_rate(estimate, truth):
     true_labels, tru = np.unique(truth, return_inverse=True)
     conf = np.zeros((len(est_labels), len(true_labels)), dtype=np.int64)
     np.add.at(conf, (est, tru), 1)
+    # imported on first use (README, Start-up)
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(-conf)
     return float(n - int(conf[rows, cols].sum())) / n
+
+
+def vq(X, C, **kw):
+    """scipy's vq, imported on its first call; kmeans reaches it by this
+    module name, so a test can substitute a spy."""
+    from scipy.cluster.vq import vq
+
+    return vq(X, C, **kw)
 
 
 def kmeans(X, K, seed=None):
@@ -65,6 +74,9 @@ def kmeans(X, K, seed=None):
     empty cluster keeps its old centre), so every later step would too.  The
     result is that of kmeans2(iter=_LLOYD_STEPS).
     """
+    # imported on first use (README, Start-up)
+    from scipy.cluster.vq import kmeans2
+
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or len(X) < K:
         raise ValueError("need at least K rows to cluster")

@@ -14,10 +14,14 @@ preallocated slots keyed by those indices, and aggregation walks the slots in
 a fixed order, so results are byte-identical for any thread count.
 
 BLAS rule: a grid runs with every loaded OpenBLAS held at one thread, for any
-pool size, and the previous counts come back when it ends.  Parallelism comes
-from the replicate pool alone, so the cores are not oversubscribed.  The BLAS
-thread count sets the reduction order, which moves the last digits at
-n = 1e5, so pinning it also makes the CSV bytes independent of
+pool size, and the previous counts come back when it ends, so BLAS threads do
+not compete with the replicate pool for the cores.  The pool's threads share
+the GIL and overlap only in native code that releases it: numpy's array
+operations and scipy's CSR product do, ARPACK's Lanczos steps (dsaupd) do
+not, and those take most of a solve.  On 2 vCPUs two workers ran the phase
+grid 1.37x as fast as one and the sparse n = 1e4 grid no faster (README, BLAS
+rule).  The BLAS thread count sets the reduction order, which moves the last
+digits at n = 1e5, so pinning it also makes the CSV bytes independent of
 OPENBLAS_NUM_THREADS and the host's core count.  One-off solves outside a
 grid (the CLI's detect and fig-eigvec) keep OpenBLAS's own setting.
 """

@@ -24,7 +24,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import _validate
 from .models import DENSE_LIMIT
@@ -265,6 +264,9 @@ def top_eigs(op, k, which="largest-algebraic", tol=1e-8, seed=None, max_basis=No
         # the zero operator: ARPACK rejects its zero residual vector
         vals, V = np.zeros(k), np.eye(n, k)
     else:
+        # imported on first use (README, Start-up)
+        import scipy.sparse.linalg as spla
+
         ncv = None if max_basis is None else min(n, max(k + 1, int(max_basis)))
         A = spla.LinearOperator((n, n), matvec=op.matvec, dtype=np.float64)
         try:
@@ -297,12 +299,28 @@ def spectral_norm(op, tol=1e-8, seed=None):
 # Dense Jacobi oracle
 # ---------------------------------------------------------------------------
 
+def _round_robin(m):
+    """(P, Q), each of shape (m - 1, m // 2), for an even m: row r holds the
+    r-th round of disjoint pairs p < q, and the m - 1 rounds cover every pair
+    of 0..m-1 once (round-robin ordering, Brent & Luk 1985)."""
+    ring = np.arange(1, m)
+    rounds = np.array([np.concatenate(([0], np.roll(ring, r)))
+                       for r in range(m - 1)])
+    a, b = rounds[:, : m // 2], rounds[:, : m // 2 - 1 : -1]
+    return np.minimum(a, b), np.maximum(a, b)
+
+
 def dense_eig_oracle(M):
     """Full eigendecomposition of a dense symmetric matrix by cyclic Jacobi.
 
     Gated to n <= 256; this is the test oracle, deliberately independent of
     both the Lanczos path and LAPACK.  Returns (eigenvalues ascending, V) with
     M = V diag(w) V^T to reconstruction error <= 1e-8 * ||M||.
+
+    A sweep visits every pair once in round-robin order: each of its steps
+    applies n/2 rotations on disjoint index pairs as array operations.  They
+    commute, and each one's angle reads only its own 2x2 block, so a step
+    equals the same rotations applied one by one.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -314,44 +332,42 @@ def dense_eig_oracle(M):
     if float(np.abs(M - M.T).max(initial=0.0)) > 1e-10 * scale:
         raise ValueError("matrix is not symmetric within 1e-10")
     A = 0.5 * (M + M.T)
-    V = np.eye(n)
     fro = float(np.linalg.norm(A))
     if fro == 0.0 or n == 1:
-        return np.diag(A).copy(), V
+        return np.diag(A).copy(), np.eye(n)
+    # an odd n gets a zero row and column, whose rotations are all skipped
+    m = n + n % 2
+    A = np.pad(A, (0, m - n))
+    V = np.eye(m)
+    rounds = list(zip(*_round_robin(m)))
     for _ in range(60):  # sweep cap
         # direct off-diagonal norm; the sqrt(||A||^2 - ||diag||^2) shortcut
         # cancels catastrophically near convergence
         off = float(np.linalg.norm(A - np.diag(np.diag(A))))
         if off <= 1e-14 * fro:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                diff = A[q, q] - A[p, p]
-                if diff == 0.0:
-                    t = 1.0
-                else:
-                    phi = diff / (2.0 * apq)
-                    t = np.sign(phi) / (abs(phi) + np.hypot(1.0, phi))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                colp = A[:, p].copy()
-                colq = A[:, q].copy()
-                A[:, p] = c * colp - s * colq
-                A[:, q] = s * colp + c * colq
-                rowp = A[p, :].copy()
-                rowq = A[q, :].copy()
-                A[p, :] = c * rowp - s * rowq
-                A[q, :] = s * rowp + c * rowq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    w = np.diag(A).copy()
+        for p, q in rounds:
+            apq = A[p, q]
+            diff = A[q, q] - A[p, p]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                phi = diff / (2.0 * apq)
+                t = np.sign(phi) / (np.abs(phi) + np.hypot(1.0, phi))
+            t = np.where(diff == 0.0, 1.0, t)
+            t = np.where(np.abs(apq) <= 1e-300, 0.0, t)  # skip: no rotation
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            # indexing by arrays copies, so colp .. vq keep the old values
+            colp, colq = A[:, p], A[:, q]
+            A[:, p] = c * colp - s * colq
+            A[:, q] = s * colp + c * colq
+            rowp, rowq = A[p, :], A[q, :]
+            A[p, :] = c[:, None] * rowp - s[:, None] * rowq
+            A[q, :] = s[:, None] * rowp + c[:, None] * rowq
+            A[p, q] = 0.0
+            A[q, p] = 0.0
+            vp, vq = V[:, p], V[:, q]
+            V[:, p] = c * vp - s * vq
+            V[:, q] = s * vp + c * vq
+    w = np.diag(A)[:n].copy()
     order = np.argsort(w)
-    return w[order], V[:, order]
-
+    return w[order], V[:n, :n][:, order]

@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import specgraph
 from specgraph import experiments
 from specgraph.cli import main
 from specgraph.detect import spectral_cluster
@@ -523,3 +526,39 @@ def test_console_script_installed():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "10"
+
+
+_START_UP = """
+import json, sys
+import specgraph
+from specgraph.cli import main
+
+lazy = ("scipy.sparse.linalg", "scipy.optimize", "scipy.cluster")
+g, report = sys.argv[1:]
+codes = [main(["bounds", "--bound", "bai-yin", "--d", "25"]),
+         main(["gen", "--model", "pp", "--a", "6", "--b", "1", "--n", "60",
+               "--seed", "1", "--out", g])]
+before = [m for m in lazy if m in sys.modules]
+codes.append(main(["detect", "--in", g, "--method", "top-k-embedding",
+                   "--truth", g + ".labels"]))
+after = [m for m in lazy if m in sys.modules]
+with open(report, "w") as f:
+    json.dump({"codes": codes, "before": before, "after": after}, f)
+"""
+
+
+def test_solver_subpackages_load_on_first_use(tmp_path):
+    # import specgraph, bounds and gen load numpy and scipy.sparse only; the
+    # eigensolver, the assignment solver and k-means load when first called
+    root = os.path.dirname(os.path.dirname(os.path.abspath(specgraph.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (root, env.get("PYTHONPATH")) if p)
+    report = tmp_path / "report.json"
+    proc = subprocess.run([sys.executable, "-c", _START_UP, str(tmp_path / "g.tsv"),
+                           str(report)], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(report.read_text())
+    assert seen == {"codes": [0, 0, 0], "before": [],
+                    "after": ["scipy.sparse.linalg", "scipy.optimize", "scipy.cluster"]}

@@ -206,6 +206,24 @@ def test_sweep_bytes_independent_of_blas_threads():
     assert outs[0][0] == outs[1][0]
 
 
+def test_phase_bytes_independent_of_threads_from_cold_start():
+    # The eigensolver and the assignment solver are imported on first use, so
+    # in a fresh interpreter the first replicates import them on pool workers.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(specgraph.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (root, env.get("PYTHONPATH")) if p)
+    args = [sys.executable, "-m", "specgraph.cli", "phase", "--d", "10",
+            "--snr", "0,4", "--n", "400", "--R", "2", "--seed", "0", "--threads"]
+    procs = [subprocess.Popen(args + [threads], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=env)
+             for threads in ("2", "1")]
+    outs = [proc.communicate(timeout=120) for proc in procs]
+    for proc, (_, err) in zip(procs, outs):
+        assert proc.returncode == 0, err.decode()
+    assert outs[0][0] == outs[1][0]
+
+
 # ---------------------------------------------------------------------------
 # BLAS thread pin of the grid harness
 # ---------------------------------------------------------------------------
