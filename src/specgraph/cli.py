@@ -25,6 +25,7 @@ from .models import (
     ER,
     Graph,
     PlantedPartition,
+    _open_text,
     model_from_json,
     read_labels,
     sample,
@@ -54,7 +55,7 @@ def _write_text(path, text):
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with _open_text(path) as fh:
             fh.write(text)
 
 

@@ -43,7 +43,7 @@ import numpy as np
 from . import _validate
 from . import bounds as bounds_mod
 from .detect import misclassification_rate, sign_partition
-from .models import ER, PlantedPartition, expected_matrix, sample
+from .models import ER, PlantedPartition, _open_text, expected_matrix, sample
 from .regularize import (
     choose_tau,
     degree_regularize,
@@ -176,7 +176,7 @@ class ExperimentResult:
         return _rows_to_csv(self.records)
 
     def write_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with _open_text(path) as fh:
             fh.write(self.to_csv())
 
 

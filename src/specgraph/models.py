@@ -9,6 +9,7 @@ thinning, and dense-P models row by row.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, fields
 
@@ -19,6 +20,71 @@ from . import _validate
 
 # largest n with a dense n x n P (LSM, IERM): 4096^2 doubles are 128 MB
 DENSE_LIMIT = 4096
+
+
+def _open_text(path):
+    """A text file opened for writing: UTF-8, "\\n" line ends on every platform."""
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
+def _format_rows(ints, w=None):
+    """The lines "%d\\t%d...\\t%.17g\\n" of integer arrays and a float64 array w.
+
+    Byte for byte what a per-row % format gives, built in numpy: each field
+    sits right-aligned in a fixed-width slot of one uint8 row matrix, padded
+    with zero bytes, and one mask drops the padding.
+    """
+    fields = [_digits(x) for x in ints]
+    if w is not None:
+        fields.append(_float_texts(w))
+    buf = np.empty((len(fields[0]), sum(f.shape[1] + 1 for f in fields)),
+                   dtype=np.uint8)
+    at = 0
+    for f in fields:
+        buf[:, at:at + f.shape[1]] = f
+        at += f.shape[1] + 1
+        buf[:, at - 1] = ord("\t")
+    buf[:, -1] = ord("\n")
+    return str(buf[buf != 0], "ascii")
+
+
+def _digits(x):
+    """Zero-padded, right-aligned ASCII rows of "%d" of each integer in x.
+
+    Digits come from repeated division of the uint64 magnitude, so the int64
+    and uint64 extremes are exact.
+    """
+    width = max(len("%d" % x.min()), len("%d" % x.max())) if len(x) else 1
+    neg = x < 0
+    mag = x.astype(np.uint64)  # a negative wraps to 2^64 + x ...
+    np.negative(mag, out=mag, where=neg)  # ... and back to |x|
+    out = np.empty((len(x), width), dtype=np.uint8)
+    # a row's sign goes just left of its digits, zero bytes further left
+    pad = np.where(neg, ord("-"), 0).astype(np.uint8)
+    for col in range(width - 1, -1, -1):
+        live = mag > 0
+        rest = mag // 10  # np.divmod is several times slower
+        digit = mag - 10 * rest + ord("0")
+        if col == width - 1:  # the units digit is there even for 0
+            out[:, col] = digit
+        else:
+            out[:, col] = np.where(live, digit, pad)
+            pad *= live
+        mag = rest
+    return out
+
+
+def _float_texts(w):
+    """Zero-padded, right-aligned ASCII rows of "%.17g" of each float in w.
+
+    Each distinct bit pattern is formatted once, so -0.0 keeps its sign.
+    """
+    bits, inv = np.unique(w.view(np.uint64), return_inverse=True)
+    text = ["%.17g" % v for v in bits.view(np.float64).tolist()]
+    width = max(map(len, text), default=1)
+    table = np.frombuffer("".join(s.rjust(width, "\0") for s in text).encode("ascii"),
+                          dtype=np.uint8).reshape(-1, width)
+    return table[inv]
 
 
 class Graph:
@@ -108,13 +174,12 @@ class Graph:
 
     def to_tsv(self, path):
         """Write the edge list as `i<TAB>j<TAB>weight` with a `# n=<n>` header."""
-        with open(path, "w", encoding="utf-8") as fh:
+        with _open_text(path) as fh:
             fh.write(self.format_tsv())
 
     def format_tsv(self):
-        return f"# n={self.n}\n" + "".join(
-            "%d\t%d\t%.17g\n" % e
-            for e in zip(self.i.tolist(), self.j.tolist(), self.w.tolist()))
+        """The `# n=<n>` header, then one "%d\\t%d\\t%.17g" line per edge."""
+        return f"# n={self.n}\n" + _format_rows([self.i, self.j], self.w)
 
     @classmethod
     def from_tsv(cls, path):
@@ -157,15 +222,30 @@ class Graph:
 
 
 def write_labels(path, labels):
-    """One integer label per line, in node-index order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(map("%d\n".__mod__, np.asarray(labels).tolist())))
+    """One "%d" label per line, in node-index order."""
+    a = np.asarray(labels)
+    if a.ndim == 1 and a.dtype.kind in "iu":
+        text = _format_rows([a])
+    else:  # floats, bools, objects: whatever "%d" makes of them, or its error
+        text = "".join(map("%d\n".__mod__, a.tolist()))
+    with _open_text(path) as fh:
+        fh.write(text)
 
 
 def read_labels(path):
+    """The integer labels of a label file; blank lines are skipped."""
     with open(path, "r", encoding="utf-8") as fh:
-        return np.array([int(ln) for ln in fh.read().splitlines() if ln.strip()],
-                        dtype=np.int64)
+        lines = fh.read().splitlines()
+    try:
+        return np.fromiter(map(int, filter(str.strip, lines)), dtype=np.int64)
+    except ValueError:
+        pass
+    for number, ln in enumerate(lines, 1):  # find the line int() refused
+        try:
+            int(ln)
+        except ValueError:
+            if ln.strip():
+                raise ValueError(f"malformed label line {number}: {ln!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -350,17 +430,31 @@ class ExpectedMatrix:
         self.labels = np.asarray(labels, dtype=np.int64)
         self.n = len(self.labels)
         self.B = np.asarray(B, dtype=np.float64)
-        self.theta = (np.ones(self.n) if theta is None
-                      else np.asarray(theta, dtype=np.float64))
-        if len(self.theta) != self.n:
-            raise ValueError("theta length must equal the number of labels")
+        if theta is not None:  # else the unit theta is built on first read
+            self.theta = np.asarray(theta, dtype=np.float64)
+            if len(self.theta) != self.n:
+                raise ValueError("theta length must equal the number of labels")
         K = self.B.shape[0]
         if self.labels.min() < 1 or self.labels.max() > K:
             raise ValueError("label out of range for B")
-        # fixed per matrix: 0-based labels and the diagonal theta^2 B_cc
-        # that P leaves out (see block_factors)
-        self._c = self.labels - 1
-        self._diag = self.theta ** 2 * np.diag(self.B)[self._c]
+
+    # Derived on first read and fixed per matrix, so a sampler that reads
+    # only labels and B never builds them.
+
+    @functools.cached_property
+    def theta(self):
+        """Unit theta, where none was given."""
+        return np.ones(self.n)
+
+    @functools.cached_property
+    def _c(self):
+        """0-based labels."""
+        return self.labels - 1
+
+    @functools.cached_property
+    def _diag(self):
+        """The diagonal theta^2 B_cc that P leaves out (see block_factors)."""
+        return self.theta ** 2 * np.diag(self.B)[self._c]
 
     @classmethod
     def from_dense(cls, P):

@@ -218,6 +218,16 @@ def test_detect_truth_scoring_and_labels_out(tmp_path, capsys):
     assert len(read_labels(labels_out)) == 8
 
 
+def test_detect_truth_names_a_malformed_label_line(tmp_path, capsys):
+    src = tmp_path / "g.tsv"
+    src.write_text(two_cliques_tsv())
+    truth = tmp_path / "t.labels"
+    truth.write_text("1\n1\n\n1\nx2\n2\n2\n2\n")
+    code, out, err = run(capsys, "detect", "--in", str(src), "--truth", str(truth))
+    assert code == 2 and out == ""
+    assert err == "error: malformed label line 5: 'x2'\n"
+
+
 def test_detect_unknown_method(tmp_path, capsys):
     src = tmp_path / "g.tsv"
     src.write_text(two_cliques_tsv())

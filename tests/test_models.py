@@ -5,8 +5,9 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import specgraph.models as models
 from specgraph.models import (
@@ -579,6 +580,86 @@ def test_labels_round_trip(tmp_path):
     path = tmp_path / "labels.txt"
     write_labels(path, labels)
     assert np.array_equal(read_labels(path), labels)
+
+
+def test_read_labels_takes_what_int_takes_and_names_a_bad_line(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text(" 3 \n\n+4\n1_0\n\u0662\n-1\n", encoding="utf-8")
+    assert read_labels(path).tolist() == [3, 4, 10, 2, -1]
+    path.write_text("1\n\n2\n1.0\nx\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"^malformed label line 4: '1\.0'$"):
+        read_labels(path)
+
+
+def _format_tsv_by_edges(g):
+    """Graph.format_tsv as one % format per edge: the reference for its numpy path."""
+    return f"# n={g.n}\n" + "".join(
+        "%d\t%d\t%.17g\n" % e for e in zip(g.i.tolist(), g.j.tolist(), g.w.tolist()))
+
+
+TOP = 2 ** 63 - 1  # the largest n, so indices reach 2^63 - 2
+
+
+@st.composite
+def graphs_built_in_code(draw):
+    """Graphs as code may build them: any float weight, n up to 2^63 - 1."""
+    n = draw(st.one_of(st.integers(0, 12), st.integers(2, TOP), st.just(TOP)))
+    pair = st.integers(0, n - 2).flatmap(
+        lambda i: st.tuples(st.just(i), st.integers(i + 1, n - 1)))
+    edges = draw(st.lists(pair, unique=True, max_size=12)) if n >= 2 else []
+    weights = draw(st.lists(
+        st.one_of(st.sampled_from([5e-324, 1 - 2 ** -53, 0.1, 0.0, -0.0, math.nan,
+                                   math.inf, -math.inf]), st.floats()),
+        min_size=len(edges), max_size=len(edges)))
+    try:
+        return Graph(n, [i for i, _ in edges], [j for _, j in edges], weights)
+    except ValueError:  # the key i*n + j wraps past int64 once n^2 > 2^63
+        reject()
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_built_in_code())
+@example(Graph(0, [], [], []))
+@example(Graph(5, [0, 0, 1, 1], [1, 2, 3, 4], [5e-324, 1 - 2 ** -53, 0.1, 1.0]))
+@example(Graph(4, [0, 0, 0, 1, 2], [1, 2, 3, 3, 3], [0.0, -0.0, math.nan, math.inf, -0.0]))
+@example(Graph(TOP, [0, 1], [TOP - 1, 2], [1.0, 0.25]))
+def test_format_tsv_matches_percent_format(g):
+    assert g.format_tsv() == _format_tsv_by_edges(g)
+
+
+def _labels_by_lines(labels):
+    """write_labels' text as one "%d" per label: the reference for its numpy path."""
+    values = labels.tolist() if isinstance(labels, np.ndarray) else labels
+    return "".join("%d\n" % v for v in values)
+
+
+def _int_arrays(dtype):
+    info = np.iinfo(dtype)
+    elements = st.one_of(st.sampled_from([info.min, info.max, 0, -1 if info.min else 1]),
+                         hnp.from_dtype(np.dtype(dtype)))
+    return hnp.arrays(dtype, st.integers(0, 20), elements=elements)
+
+
+LABEL_INPUTS = st.one_of(
+    *[_int_arrays(dt) for dt in (np.int8, np.int16, np.int32, np.int64,
+                                 np.uint8, np.uint16, np.uint32, np.uint64)],
+    st.lists(st.integers(-(2 ** 63), 2 ** 63 - 1), max_size=20),
+    hnp.arrays(np.bool_, st.integers(0, 20)),
+    hnp.arrays(np.float64, st.integers(0, 20)),  # nan and inf: "%d" raises
+    st.just([]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(LABEL_INPUTS)
+def test_write_labels_matches_percent_d(tmp_path_factory, labels):
+    path = tmp_path_factory.getbasetemp() / "hypothesis.labels"
+
+    def written(labels):
+        write_labels(path, labels)
+        return path.read_bytes().decode("utf-8")
+
+    assert _outcome(written, labels) == _outcome(_labels_by_lines, labels)
 
 
 def test_model_json_round_trip():
