@@ -5,6 +5,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import _validate
 from .spectral import _DEFAULT_SEED, top_eigs
@@ -44,12 +45,17 @@ def misclassification_rate(estimate, truth):
     # over the labels that occur: 1..max label can be terabytes for one label
     est_labels, est = np.unique(estimate, return_inverse=True)
     true_labels, tru = np.unique(truth, return_inverse=True)
-    conf = np.zeros((len(est_labels), len(true_labels)), dtype=np.int64)
-    np.add.at(conf, (est, tru), 1)
+    k1, k2 = len(est_labels), len(true_labels)
+    conf = np.bincount(est * k2 + tru, minlength=k1 * k2).reshape(k1, k2)
     # imported on first use (README, Start-up)
-    from scipy.optimize import linear_sum_assignment
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-    rows, cols = linear_sum_assignment(-conf)
+    # The confusion matrix as a dense CSR, every count stored plus one: each
+    # pair is then an edge, and since every full matching has min(k1, k2)
+    # edges the shift moves no optimum (Jonker-Volgenant shortest paths).
+    W = sp.csr_matrix((conf.ravel() + 1, np.tile(np.arange(k2), k1),
+                       np.arange(0, k1 * k2 + 1, k2)), shape=(k1, k2))
+    rows, cols = min_weight_full_bipartite_matching(W, maximize=True)
     return float(n - int(conf[rows, cols].sum())) / n
 
 

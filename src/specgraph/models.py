@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -20,6 +21,8 @@ from . import _validate
 
 # largest n with a dense n x n P (LSM, IERM): 4096^2 doubles are 128 MB
 DENSE_LIMIT = 4096
+# largest n whose edge keys i*n + j, all below n*n, fit in an int64
+_MAX_N = math.isqrt(np.iinfo(np.int64).max)
 
 
 def _open_text(path):
@@ -97,8 +100,9 @@ class Graph:
 
     This class alone knows the edge layout.  Edges are kept sorted by the key
     i*n + j, which makes equality, serialization and regularization
-    deterministic, and a duplicate pair is rejected.  incidence() is the one
-    symmetric layout; adjacency() and degree capping both read it.
+    deterministic, and a duplicate pair is rejected; n is at most _MAX_N, so
+    the key fits in an int64.  incidence() is the one symmetric layout;
+    adjacency() and degree capping both read it.
     """
 
     def __init__(self, n, i, j, w):
@@ -106,6 +110,9 @@ class Graph:
         j = np.asarray(j, dtype=np.int64)
         w = np.asarray(w, dtype=np.float64)
         _validate.at_least("n", n, 0)
+        if n > _MAX_N:
+            raise ValueError(f"n must be at most {_MAX_N}, so that the edge key "
+                             f"i*n + j fits in an int64, got {n!r}")
         if not (len(i) == len(j) == len(w)):
             raise ValueError("edge arrays must have equal length")
         if len(i) and (i.min() < 0 or j.max() >= n):
@@ -150,6 +157,17 @@ class Graph:
                             np.concatenate([self.i, self.j]))),
                           shape=(self.n, self.n))
         return A.indptr, A.indices, A.data
+
+    def _reweighted(self, w, layout):
+        """This graph with weights w, sharing its checked edges and the
+        incidence() layout already built from them: nothing is sorted, scanned
+        or laid out again, and the adjacency is w's gather through the layout.
+        """
+        out = object.__new__(Graph)
+        out.n, out.i, out.j, out.w = self.n, self.i, self.j, w
+        indptr, neighbors, ids = layout
+        out._csr = sp.csr_matrix((w[ids], neighbors, indptr), shape=(self.n, self.n))
+        return out
 
     def adjacency(self):
         """Symmetric CSR adjacency matrix (cached)."""

@@ -55,7 +55,8 @@ def degree_regularize(graph, d_hat, cap_multiplier=2.0):
     its incident edge weights scaled by cap/degree.  Scaling never raises any
     degree, so one pass suffices in exact arithmetic; the loop repeats until
     clean to absorb floating-point drift.  Edges not incident to a touched
-    vertex are returned unchanged.
+    vertex are returned unchanged; the output keeps the input's edge order
+    and reuses the layout built here for its adjacency.
     """
     _validate.real("d_hat", d_hat)
     _validate.real("cap_multiplier", cap_multiplier)
@@ -66,7 +67,8 @@ def degree_regularize(graph, d_hat, cap_multiplier=2.0):
     deg = graph.degrees()
     pre_max = float(deg.max()) if n else 0.0
     factors = np.ones(n)
-    bounds, _, by_vertex = graph.incidence()
+    layout = graph.incidence()
+    bounds, _, by_vertex = layout
     slack = 1.0 + 1e-12
     passes = 0
     while passes < n:
@@ -86,7 +88,7 @@ def degree_regularize(graph, d_hat, cap_multiplier=2.0):
             np.add.at(deg, graph.i[es], delta)
             np.add.at(deg, graph.j[es], delta)
             factors[v] *= f
-    out = Graph(n, graph.i, graph.j, w)
+    out = graph._reweighted(w, layout)
     post = out.degrees()
     touched = np.flatnonzero(factors < 1.0)
     budget = math.ceil(10.0 * n / d_hat)

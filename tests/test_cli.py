@@ -186,6 +186,20 @@ def test_reg_missing_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("reg", "--mode", "cap", "--d-hat", "3"),
+    ("detect", "--seed", "0"),
+])
+def test_n_past_the_edge_key_bound_exits_2(tmp_path, capsys, argv):
+    # the key i*n + j of (0, 5) and (2, 7) wrapped to one value at this n
+    src = tmp_path / "g.tsv"
+    src.write_text("# n=9223372036854775807\n0\t5\t1\n2\t7\t1\n")
+    code, out, err = run(capsys, argv[0], "--in", str(src), *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("error: n must be at most 3037000499, so that the edge key")
+    assert "duplicate" not in err
+
+
 # ---------------------------------------------------------------------------
 # detect
 # ---------------------------------------------------------------------------
@@ -543,32 +557,50 @@ import json, sys
 import specgraph
 from specgraph.cli import main
 
-lazy = ("scipy.sparse.linalg", "scipy.optimize", "scipy.cluster")
-g, report = sys.argv[1:]
-codes = [main(["bounds", "--bound", "bai-yin", "--d", "25"]),
-         main(["gen", "--model", "pp", "--a", "6", "--b", "1", "--n", "60",
-               "--seed", "1", "--out", g])]
-before = [m for m in lazy if m in sys.modules]
-codes.append(main(["detect", "--in", g, "--method", "top-k-embedding",
-                   "--truth", g + ".labels"]))
-after = [m for m in lazy if m in sys.modules]
+lazy = ("scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.cluster", "scipy.optimize")
+report, *runs = sys.argv[1:]
+seen = []
+for argv in runs:
+    code = main(json.loads(argv))
+    seen.append([code, [m for m in lazy if m in sys.modules]])
 with open(report, "w") as f:
-    json.dump({"codes": codes, "before": before, "after": after}, f)
+    json.dump(seen, f)
 """
 
 
-def test_solver_subpackages_load_on_first_use(tmp_path):
-    # import specgraph, bounds and gen load numpy and scipy.sparse only; the
-    # eigensolver, the assignment solver and k-means load when first called
+def _start_up(tmp_path, *runs):
+    """[exit code, lazily loaded subpackages] after each CLI run, in order,
+    all in one fresh interpreter."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(specgraph.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (root, env.get("PYTHONPATH")) if p)
     report = tmp_path / "report.json"
-    proc = subprocess.run([sys.executable, "-c", _START_UP, str(tmp_path / "g.tsv"),
-                           str(report)], capture_output=True, text=True, env=env,
-                          timeout=120)
+    proc = subprocess.run([sys.executable, "-c", _START_UP, str(report),
+                           *map(json.dumps, runs)],
+                          capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    seen = json.loads(report.read_text())
-    assert seen == {"codes": [0, 0, 0], "before": [],
-                    "after": ["scipy.sparse.linalg", "scipy.optimize", "scipy.cluster"]}
+    return json.loads(report.read_text())
+
+
+def test_solver_subpackages_load_on_first_use(tmp_path):
+    # import specgraph, bounds and gen load numpy and scipy.sparse only; the
+    # eigensolver, the assignment solver and k-means load when first called,
+    # and no command loads scipy.optimize
+    g = str(tmp_path / "g.tsv")
+    linalg, csgraph, cluster = "scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.cluster"
+    assert _start_up(
+        tmp_path,
+        ["bounds", "--bound", "bai-yin", "--d", "25"],
+        ["gen", "--model", "pp", "--a", "6", "--b", "1", "--n", "60", "--seed", "1",
+         "--out", g],
+        ["detect", "--in", g, "--method", "top-k-embedding", "--truth", g + ".labels"],
+    ) == [[0, []], [0, []], [0, [linalg, csgraph, cluster]]]
+    assert _start_up(
+        tmp_path, ["phase", "--d", "4", "--snr", "0,4", "--n", "60", "--R", "2",
+                   "--seed", "0", "--threads", "1"],
+    ) == [[0, [linalg, csgraph]]]
+    assert _start_up(
+        tmp_path, ["fig-eigvec", "--n", "30", "--seed", "0",
+                   "--out", str(tmp_path / "table.csv")],
+    ) == [[0, [linalg, csgraph]]]

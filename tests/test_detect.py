@@ -1,8 +1,10 @@
+import collections
+import itertools
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.cluster.vq import kmeans2, vq
 
@@ -83,6 +85,45 @@ def test_misclassification_invariant_under_relabeling(data):
     truth = np.array(data.draw(labels))
     perm = np.array([0] + data.draw(st.permutations(range(1, K + 1))))
     assert misclassification_rate(perm[est], truth) == misclassification_rate(est, truth)
+
+
+def _misclassification_by_relabeling(estimate, truth):
+    """The reference: fewest disagreements over every injective map of the
+    smaller set of occurring labels into the larger one, by enumeration."""
+    pairs = list(zip(estimate, truth))
+    count = collections.Counter(pairs)
+    est, tru = sorted(set(estimate)), sorted(set(truth))
+    if len(est) <= len(tru):
+        best = max(sum(count[e, t] for e, t in zip(est, image))
+                   for image in itertools.permutations(tru, len(est)))
+    else:
+        best = max(sum(count[e, t] for e, t in zip(image, tru))
+                   for image in itertools.permutations(est, len(tru)))
+    return float(len(pairs) - best) / len(pairs)
+
+
+@st.composite
+def _label_vectors(draw):
+    """Two equally long label vectors, each over its own 1..6 occurring labels
+    drawn from 1..2^40, so shapes K1 x K2 are rectangular both ways."""
+    n = draw(st.integers(1, 60))
+    vectors = []
+    for _ in range(2):
+        pool = draw(st.lists(st.integers(1, 2 ** 40), min_size=1, max_size=6, unique=True))
+        vectors.append(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    return vectors
+
+
+@settings(max_examples=300, deadline=None)
+@given(_label_vectors())
+@example([[1, 2, 3, 4, 5, 6, 1], [1, 1, 1, 1, 1, 1, 1]])  # 6 x 1
+@example([[9, 9, 9, 9, 9, 9, 9], [1, 2, 3, 4, 5, 6, 1]])  # 1 x 6
+@example([[1, 2, 3, 4, 5, 6] * 2, [6, 5, 4, 3, 2, 1] * 2])  # 6 x 6, reversed
+@example([[1, 1, 2, 2], [1, 2, 1, 2]])  # every matching ties
+def test_misclassification_equals_brute_force_minimum(vectors):
+    estimate, truth = vectors
+    assert (misclassification_rate(np.array(estimate), np.array(truth))
+            == _misclassification_by_relabeling(estimate, truth))
 
 
 @settings(max_examples=30, deadline=None)

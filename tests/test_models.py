@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import example, given, reject, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -394,6 +394,19 @@ def test_graph_validation():
         sample(ER(0.5), 0, 1)
 
 
+def test_graph_rejects_n_whose_edge_keys_overflow_int64():
+    # i*n + j wrapped past int64 and made (0, 5) and (2, 7) one key
+    top = models._MAX_N
+    assert top * top <= 2 ** 63 - 1 < (top + 1) ** 2
+    bound = f"n must be at most {top}, so that the edge key i\\*n \\+ j fits in an int64"
+    with pytest.raises(ValueError, match=f"^{bound}, got 9223372036854775807$"):
+        Graph.parse_tsv("# n=9223372036854775807\n0\t5\t1\n2\t7\t1\n")
+    with pytest.raises(ValueError, match=f"^{bound}, got {top + 1}$"):
+        Graph(top + 1, [], [], [])
+    g = Graph(top, [1, 0], [2, top - 1], [0.5, 1.0])  # the largest key is top^2 - 2
+    assert g.i.tolist() == [0, 1] and g.j.tolist() == [top - 1, 2]
+
+
 def test_graph_sorts_unsorted_edges():
     g = Graph(5, [3, 0, 1, 0, 1], [4, 2, 3, 1, 2], [0.1, 0.2, 0.3, 0.4, 0.5])
     assert g.i.tolist() == [0, 0, 1, 1, 3]
@@ -597,12 +610,12 @@ def _format_tsv_by_edges(g):
         "%d\t%d\t%.17g\n" % e for e in zip(g.i.tolist(), g.j.tolist(), g.w.tolist()))
 
 
-TOP = 2 ** 63 - 1  # the largest n, so indices reach 2^63 - 2
+TOP = models._MAX_N  # the largest n a Graph takes, so indices reach TOP - 1
 
 
 @st.composite
 def graphs_built_in_code(draw):
-    """Graphs as code may build them: any float weight, n up to 2^63 - 1."""
+    """Graphs as code may build them: any float weight, n up to TOP."""
     n = draw(st.one_of(st.integers(0, 12), st.integers(2, TOP), st.just(TOP)))
     pair = st.integers(0, n - 2).flatmap(
         lambda i: st.tuples(st.just(i), st.integers(i + 1, n - 1)))
@@ -611,10 +624,7 @@ def graphs_built_in_code(draw):
         st.one_of(st.sampled_from([5e-324, 1 - 2 ** -53, 0.1, 0.0, -0.0, math.nan,
                                    math.inf, -math.inf]), st.floats()),
         min_size=len(edges), max_size=len(edges)))
-    try:
-        return Graph(n, [i for i, _ in edges], [j for _, j in edges], weights)
-    except ValueError:  # the key i*n + j wraps past int64 once n^2 > 2^63
-        reject()
+    return Graph(n, [i for i, _ in edges], [j for _, j in edges], weights)
 
 
 @settings(max_examples=200, deadline=None)

@@ -83,6 +83,33 @@ def test_cap_untouched_edges_keep_exact_weight():
     assert out.w[k] == 1.0
 
 
+@pytest.mark.parametrize("spec, n, d_hat", [
+    (PlantedPartition(14.0, 6.0), 4000, 10.0),  # a phase-sized draw
+    (ER(2.0 / 1e4), 10_000, 2.0),
+    (PlantedPartition(4.0, 1.0), 40, 1.0),
+])
+def test_cap_output_reuses_its_input_layout(monkeypatch, spec, n, d_hat):
+    # the capped graph keeps the input's sorted edges and builds its CSR from
+    # the one layout degree capping computed, bit for bit what a fresh Graph
+    # of the same edges gives
+    g, _ = sample(spec, n, 3)
+    calls = []
+    incidence = Graph.incidence
+    monkeypatch.setattr(Graph, "incidence",
+                        lambda self: calls.append(self) or incidence(self))
+    out, report = degree_regularize(g, d_hat)
+    A = out.adjacency()
+    assert calls == [g] and len(report.touched) > 0
+    assert out.i is g.i and out.j is g.j
+    monkeypatch.undo()
+    fresh = Graph(out.n, out.i, out.j, out.w)
+    B = fresh.adjacency()
+    assert out == fresh
+    for field in ("indptr", "indices", "data"):
+        a, b = getattr(A, field), getattr(B, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
 def test_cap_over_budget_flag():
     out, report = degree_regularize(complete(11), 20.0, cap_multiplier=0.01)
     assert report.over_budget == (len(report.touched) > report.budget)
