@@ -34,7 +34,6 @@ from .models import (
 from .regularize import (
     choose_tau,
     degree_regularize,
-    laplacian,
     regularized_laplacian,
     remove_high_degree,
 )
@@ -74,10 +73,11 @@ def _pair_list(text):
     for tok in text.split(","):
         if tok == "":
             continue
-        parts = tok.split(":")
-        if len(parts) != 2:
-            raise ValueError(f"expected a:b pairs, got {tok!r}")
-        out.append((float(parts[0]), float(parts[1])))
+        try:
+            a, b = map(float, tok.split(":"))
+        except ValueError as exc:  # a missing or extra ':', or a non-number
+            raise ValueError(f"expected a:b pairs, got {tok!r}") from exc
+        out.append((a, b))
     return tuple(out)
 
 
@@ -149,7 +149,7 @@ def _cmd_detect(args):
     if method in ("laplacian-second-largest", "top-k-embedding"):
         # 0 asks for the plain Laplacian; choose_tau checks every other rho
         tau = choose_tau(g, args.tau_rho) if args.tau_rho else 0.0
-        op = regularized_laplacian(g, tau) if tau > 0 else laplacian(g)
+        op = regularized_laplacian(g, tau)
     else:
         op = SymmetricOperator.from_graph(g)
     labels = spectral_cluster(op, K=args.k, mode=method, seed=seed)

@@ -427,8 +427,7 @@ def eigenvector_study(n=50, a=5.0, b=0.1, rho=0.1, seed=0):
     tau = choose_tau(g, rho)
     pairs_plain = top_eigs(laplacian(g), 3, which="largest-algebraic",
                            tol=1e-10, seed=[seed, 1], max_basis=n)
-    op_reg = regularized_laplacian(g, tau) if tau > 0 else laplacian(g)
-    pairs_reg = top_eigs(op_reg, 3, which="largest-algebraic",
+    pairs_reg = top_eigs(regularized_laplacian(g, tau), 3, which="largest-algebraic",
                          tol=1e-10, seed=[seed, 2], max_basis=n)
     cols = [_canonical_sign(p.vector) for p in pairs_plain]
     cols += [_canonical_sign(p.vector) for p in pairs_reg]

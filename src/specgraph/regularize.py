@@ -117,12 +117,18 @@ def remove_high_degree(graph, threshold):
     return Graph(graph.n, graph.i[keep], graph.j[keep], graph.w[keep])
 
 
+def _normalized(n, rows, tau, **part):
+    """D^{-1/2} (part + (tau/n) 11^T) D^{-1/2} with D = diag(rows + tau);
+    a zero row of D gets scale 0, so its row and column of the result are 0."""
+    d = rows + tau
+    s = np.divide(1.0, np.sqrt(d), out=np.zeros(n), where=d > 0)
+    return SymmetricOperator.compose(n, rank_one=tau / n, scale=s, **part)
+
+
 def laplacian(graph):
-    """Normalized Laplacian D^{-1/2} A D^{-1/2}; isolated vertices get scale 0."""
-    deg = graph.degrees()
-    with np.errstate(divide="ignore"):
-        s = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
-    return SymmetricOperator.compose(graph.n, sparse=graph.adjacency(), scale=s)
+    """Normalized Laplacian D^{-1/2} A D^{-1/2}: regularized_laplacian at
+    tau = 0, where an isolated vertex gets scale 0."""
+    return _normalized(graph.n, graph.degrees(), 0.0, sparse=graph.adjacency())
 
 
 def tau_regularize(graph, tau):
@@ -133,25 +139,18 @@ def tau_regularize(graph, tau):
 
 
 def regularized_laplacian(graph, tau):
-    """L(A_tau): diagonal scaling (d_i + tau)^{-1/2} around A + (tau/n) 11^T."""
+    """L(A_tau): diagonal scaling (d_i + tau)^{-1/2} around A + (tau/n) 11^T;
+    at tau = 0 it is laplacian(graph) bit for bit (an isolated vertex's row
+    and column are 0)."""
     _validate.real("tau", tau, zero_ok=True)
-    deg = graph.degrees()
-    if tau == 0 and np.any(deg == 0):
-        raise ValueError("tau = 0 requires a graph without isolated vertices")
-    s = 1.0 / np.sqrt(deg + tau)
-    return SymmetricOperator.compose(graph.n, sparse=graph.adjacency(),
-                                     rank_one=tau / graph.n, scale=s)
+    return _normalized(graph.n, graph.degrees(), tau, sparse=graph.adjacency())
 
 
 def expected_regularized_laplacian(expected, tau):
-    """L(E[A] + (tau/n) 11^T), the population counterpart of L(A_tau)."""
+    """L(E[A] + (tau/n) 11^T), the population counterpart of L(A_tau); at
+    tau = 0 a zero expected row gets scale 0, as in laplacian."""
     _validate.real("tau", tau, zero_ok=True)
-    rows = expected.row_sums()
-    if tau == 0 and np.any(rows <= 0):
-        raise ValueError("tau = 0 requires positive expected degrees")
-    s = 1.0 / np.sqrt(rows + tau)
-    return SymmetricOperator.compose(expected.n, expected=expected,
-                                     rank_one=tau / expected.n, scale=s)
+    return _normalized(expected.n, expected.row_sums(), tau, expected=expected)
 
 
 def choose_tau(graph, rho=0.25):

@@ -367,6 +367,21 @@ def test_sweep_bad_grid(capsys):
         assert "error:" in err and "at least 2" in err, (n_grid, err)
 
 
+def test_sweep_grid_flags_name_the_entry_that_does_not_parse(capsys):
+    cases = [(("--n-grid", "10,x", "--d-grid", "2"),
+              "expected comma-separated ints, got '10,x'"),
+             (("--model", "pp", "--n-grid", "10", "--ab-grid", "5-1"),
+              "expected a:b pairs, got '5-1'"),
+             (("--model", "pp", "--n-grid", "10", "--ab-grid", "5:x"),
+              "expected a:b pairs, got '5:x'"),
+             (("--model", "pp", "--n-grid", "10", "--ab-grid", "5:1,5:1:2"),
+              "expected a:b pairs, got '5:1:2'")]
+    for flags, needle in cases:
+        code, out, err = run(capsys, "sweep", *flags)
+        assert code == 2 and out == "", flags
+        assert f"error: {needle}" in err, (flags, err)
+
+
 def test_phase_csv(capsys):
     code, out, _ = run(capsys, "phase", "--d", "4", "--snr", "0,50", "--n",
                        "120", "--R", "2", "--seed", "1", "--method",
@@ -474,6 +489,24 @@ def test_nonconvergence_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(experiments, "eigenvector_study", explode)
     code, _, err = run(capsys, "fig-eigvec", "--seed", "0")
     assert code == 3 and "did not converge" in err
+
+
+def test_detect_exits_3_when_a_returned_pair_misses_its_residual(tmp_path, capsys,
+                                                                monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    real = spla.eigsh
+
+    def perturbed(*args, **kwargs):
+        vals, V = real(*args, **kwargs)
+        return vals, V + 1e-3
+
+    monkeypatch.setattr(spla, "eigsh", perturbed)
+    src = tmp_path / "g.tsv"
+    src.write_text(two_cliques_tsv(half=6, bridge=True))
+    code, out, err = run(capsys, "detect", "--in", str(src), "--seed", "1")
+    assert code == 3 and out == ""
+    assert "did not converge" in err and "residual" in err, err
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ from specgraph.experiments import (
     phase_sweep,
 )
 from specgraph.models import ER, expected_matrix, sample
-from specgraph.spectral import SymmetricOperator, top_eigs
+from specgraph.regularize import remove_high_degree
+from specgraph.spectral import NonConvergenceError, SymmetricOperator, top_eigs
 
 
 def records_by_stat(result):
@@ -177,6 +178,126 @@ def test_deviation_norm_is_the_top_magnitude_of_a_tight_cluster():
                      seed=solver_seed, max_basis=80)
     assert abs(tight[0].value) - abs(tight[1].value) < 1e-2
     assert norm == pytest.approx(abs(tight[0].value), rel=1e-6)
+
+
+def failing_solver(monkeypatch, name, failing):
+    """Rebind experiments.<name> to raise NonConvergenceError on the
+    replicates whose (grid index, replicate index) is in failing, read from
+    the solver seed [seed, gi, r, 1]; every other call runs the real solver."""
+    real = getattr(experiments, name)
+
+    def solver(*args, **kwargs):
+        seed = kwargs["seed"] if "seed" in kwargs else args[2]
+        if (seed[1], seed[2]) in failing:
+            raise NonConvergenceError("injected", best_estimate=1.0)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, name, solver)
+
+
+def replicate_values(monkeypatch, run):
+    """The first (points x R) array that run's grid fills."""
+    grids = []
+    real = experiments._run_grid
+
+    def spy(*args, **kwargs):
+        grids.append(real(*args, **kwargs))
+        return grids[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "_run_grid", spy)
+        run()
+    return grids[0][0]
+
+
+def mean_stderr_of(values):
+    return values.mean(), values.std(ddof=1) / math.sqrt(len(values))
+
+
+def test_concentration_counts_solver_failures(monkeypatch):
+    cfg = ExperimentConfig(model="er", n_grid=(200,), d_grid=(3.0, 5.0), R=4,
+                           seed=7)
+    norms = replicate_values(monkeypatch,
+                             lambda: measure_concentration(cfg, threads=1))
+    failing = {(0, 0), (0, 2), (1, 0), (1, 1), (1, 2), (1, 3)}
+    failing_solver(monkeypatch, "top_eigs", failing)
+    res = measure_concentration(cfg, threads=3)
+    assert res.to_csv() == measure_concentration(cfg, threads=1).to_csv()
+    at = {d: records_by_stat(ExperimentResult(
+        [r for r in res.records if r["d"] == d])) for d in (3.0, 5.0)}
+    # d = 3: two of four replicates fail, the average is over the other two
+    dev = at[3.0]["deviation_norm"][0]
+    assert (dev["mean"], dev["stderr"]) == mean_stderr_of(norms[0][[1, 3]])
+    assert dev["R"] == 2 and at[3.0]["ratio_sqrt_d"][0]["R"] == 2
+    fail = at[3.0]["solver_failures"][0]
+    assert (fail["mean"], fail["R"]) == (2, 4)
+    # d = 5: every replicate fails, so there is no mean and no ratio
+    assert set(at[5.0]) == {"deviation_norm", "solver_failures"}
+    dev = at[5.0]["deviation_norm"][0]
+    assert (dev["mean"], dev["stderr"], dev["R"]) == ("", "", 0)
+    fail = at[5.0]["solver_failures"][0]
+    assert (fail["mean"], fail["R"]) == (4, 4)
+
+
+def test_tau_zero_replicates_are_counted_as_solver_failures(monkeypatch):
+    # Pins present behaviour: on an edgeless ER d = 0 draw choose_tau gives
+    # tau = 0 and the replicate returns NaN before any solve, yet the point
+    # reports solver_failures = R
+    def no_solver(*args, **kwargs):
+        raise AssertionError("a solver ran")
+
+    monkeypatch.setattr(experiments, "top_eigs", no_solver)
+    cfg = ExperimentConfig(model="er", n_grid=(100,), d_grid=(0.0,), R=3,
+                           seed=1, regularization="tau-laplacian")
+    stats = records_by_stat(measure_concentration(cfg, threads=1))
+    assert stats["deviation_norm"][0]["R"] == 0
+    fail = stats["solver_failures"][0]
+    assert (fail["mean"], fail["R"]) == (3, 3)
+
+
+def test_phase_accuracy_counts_only_successful_replicates(monkeypatch):
+    def run():
+        return phase_sweep(d=4.0, snr_grid=[0.0, 4.0], n=300, R=4,
+                           method="reg-laplacian", seed=1, threads=1)
+
+    acc = replicate_values(monkeypatch, run)
+    failing_solver(monkeypatch, "top_eigs",
+                   {(0, 1), (1, 0), (1, 1), (1, 2), (1, 3)})
+    low, high = run().records
+    assert (low["mean"], low["stderr"]) == mean_stderr_of(acc[0][[0, 2, 3]])
+    assert low["R"] == 3
+    assert (high["snr"], high["mean"], high["stderr"], high["R"]) == (4.0, "", "", 0)
+
+
+def test_phase_tau_zero_replicate_solves_nothing(monkeypatch):
+    def no_solver(*args, **kwargs):
+        raise AssertionError("a solver ran")
+
+    monkeypatch.setattr(experiments, "top_eigs", no_solver)
+    # p = 1e-7 per pair: every draw is edgeless, so choose_tau gives 0
+    res = phase_sweep(d=1e-6, snr_grid=[0.0], n=10, R=3, method="reg-laplacian",
+                      threads=1)
+    (rec,) = res.records
+    assert (rec["statistic"], rec["mean"], rec["R"]) == ("accuracy", "", 0)
+
+
+def test_vertex_removal_replicate_is_removal_then_centered_solve():
+    cfg = ExperimentConfig(model="er", n_grid=(400,), d_grid=(3.0,), R=3,
+                           seed=4, regularization="vertex-removal",
+                           cap_multiplier=1.5)
+    (point,) = experiments._grid_points(cfg)
+    sample_seed, solver_seed = [4, 0, 1, 0], [4, 0, 1, 1]
+    norm, tau = experiments._concentration_replicate(point, sample_seed,
+                                                     solver_seed)
+    g, labels = sample(point["spec"], 400, sample_seed)
+    kept = remove_high_degree(g, 1.5 * 3.0)
+    assert 0 < kept.m < g.m  # the threshold removes some edges, not all
+    op = SymmetricOperator.centered(kept, expected_matrix(point["spec"], labels))
+    pair = top_eigs(op, 1, which="largest-magnitude", tol=experiments._SOLVER_TOL,
+                    seed=solver_seed)[0]
+    assert norm == abs(pair.value) and math.isnan(tau)
+    serial = measure_concentration(cfg, threads=1).to_csv()
+    assert serial == measure_concentration(cfg, threads=3).to_csv()
 
 
 def test_thread_count_invariance():
@@ -507,6 +628,22 @@ def test_scorecard_degenerate_grid_point():
     assert stats["bound_bai-yin"][0]["mean"] == 0.0
     assert "ratio_bai-yin" not in stats  # zero bound gives no ratio
     assert stats["ratio_bernstein"][0]["mean"] == 0.0
+
+
+def test_scorecard_counts_only_successful_replicates(monkeypatch):
+    failing_solver(monkeypatch, "spectral_norm", {(0, 1), (1, 0), (1, 1), (1, 2)})
+    res = bound_scorecard(n_grid=(150,), d_grid=(3.0, 6.0), R=3, seed=2,
+                          threads=1)
+    at = {d: records_by_stat(ExperimentResult(
+        [r for r in res.records if r["d"] == d])) for d in (3.0, 6.0)}
+    for name in ("deviation_norm", "seginer_stat", "ratio_bai-yin", "ratio_seginer"):
+        assert at[3.0][name][0]["R"] == 2, name
+    assert "bound_bai-yin" in at[3.0]
+    # every replicate fails: the norm and Seginer rows stay, with R = 0
+    assert set(at[6.0]) == {"deviation_norm", "seginer_stat"}
+    for name in ("deviation_norm", "seginer_stat"):
+        rec = at[6.0][name][0]
+        assert (rec["mean"], rec["R"]) == ("", 0), name
 
 
 def test_scorecard_thread_invariance():

@@ -160,6 +160,18 @@ def test_edge_frequency_matches_probability_random_label_models():
         assert np.all(np.abs(freq - Pbar) <= band)
 
 
+def test_skip_indices_tiny_p_counts_then_places():
+    # below p = 1e-12 geometric gaps would overflow int64, so the draw counts
+    # the successes and places them; at N p = 500 it places some
+    N, p = 10**15, 5e-13
+    flat = models._skip_indices(N, p, models._rng(3))
+    assert flat.dtype == np.int64 and len(flat) > 0
+    assert np.all(np.diff(flat) > 0)  # sorted and unique
+    assert 0 <= flat[0] and flat[-1] < N
+    assert np.array_equal(flat, models._skip_indices(N, p, models._rng(3)))
+    assert not np.array_equal(flat, models._skip_indices(N, p, models._rng(4)))
+
+
 # ---------------------------------------------------------------------------
 # expected matrices
 # ---------------------------------------------------------------------------

@@ -242,20 +242,46 @@ def test_regularized_laplacian_disconnected_gap():
     assert w1[-2] < 1.0 - 1e-3  # the rank-one shift merges the components
 
 
+def assert_same_operator(a, b, seed=0):
+    assert a.to_dense().tobytes() == b.to_dense().tobytes()
+    x = np.random.default_rng(seed).standard_normal(a.n)
+    assert a.matvec(x).tobytes() == b.matvec(x).tobytes()
+
+
 def test_regularized_laplacian_tau_zero_matches_plain():
     g = complete(5)
-    assert np.allclose(regularized_laplacian(g, 0.0).to_dense(),
-                       laplacian(g).to_dense(), atol=1e-14)
+    assert_same_operator(regularized_laplacian(g, 0.0), laplacian(g))
+    # the fig-eigvec regime, where most draws have isolated vertices
+    isolated = 0
+    for seed in range(5):
+        g, _ = sample(PlantedPartition(5.0, 0.1), 50, [seed, 0])
+        isolated += int(np.sum(g.degrees() == 0))
+        assert_same_operator(regularized_laplacian(g, 0.0), laplacian(g), seed)
+    assert isolated > 0
 
 
 def test_regularized_laplacian_validation():
     g = Graph(3, [0], [1], [1.0])  # vertex 2 isolated
-    with pytest.raises(ValueError):
-        regularized_laplacian(g, 0.0)
+    # tau = 0 is the plain Laplacian, isolated vertex included, bit for bit
+    assert_same_operator(regularized_laplacian(g, 0.0), laplacian(g))
     for tau in (-0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="tau must be finite and nonnegative"):
             regularized_laplacian(g, tau)
     regularized_laplacian(g, 0.1)  # any tau > 0 is fine
+
+
+def test_expected_regularized_laplacian_tau_zero_zero_row():
+    # b = 0 and a one-node community: node 0 has expected degree 0
+    E = expected_matrix(PlantedPartition(5.0, 0.0), np.array([1] + [2] * 9))
+    op = expected_regularized_laplacian(E, 0.0)
+    assert op.terms[0].scale[0] == 0.0
+    M = op.to_dense()
+    assert np.all(M[0] == 0) and np.all(M[:, 0] == 0)
+    rows = E.row_sums()[1:]
+    ref = E.to_dense()[1:, 1:] / np.sqrt(np.outer(rows, rows))
+    assert np.allclose(M[1:, 1:], ref, atol=1e-14)
+    x = np.random.default_rng(0).standard_normal(10)
+    assert np.allclose(op.matvec(x), M @ x, atol=1e-13)
 
 
 def test_expected_regularized_laplacian_dense_agreement():

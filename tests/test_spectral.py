@@ -332,6 +332,26 @@ def test_top_eigs_validation_and_nonconvergence():
     assert err.value.best_estimate > 0
 
 
+def test_top_eigs_rechecks_the_residual_of_what_arpack_returns(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    g, _ = sample(PlantedPartition(6.0, 1.0), 60, 1)
+    op = SymmetricOperator.from_graph(g)
+    exact = top_eigs(op, 2, tol=1e-8, seed=0)
+    real = spla.eigsh
+
+    def perturbed(*args, **kwargs):
+        vals, V = real(*args, **kwargs)
+        V = V.copy()
+        V[0] += 1e-3  # every returned vector, off by 1e-3 in one entry
+        return vals, V
+
+    monkeypatch.setattr(spla, "eigsh", perturbed)
+    with pytest.raises(NonConvergenceError, match="residual") as err:
+        top_eigs(op, 2, tol=1e-8, seed=0)
+    assert err.value.best_estimate == exact[0].value
+
+
 @pytest.mark.parametrize("draw", [7, 13, 54])
 def test_top_eigs_same_seed_byte_identical_through_restarts(draw):
     # sparse planted-partition draws with several components: with the full
