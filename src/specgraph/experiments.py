@@ -198,15 +198,14 @@ def _grid_points(config):
 
 
 def _concentration_replicate(point, sample_seed, solver_seed):
-    """One sampled graph -> (deviation norm, tau used) or (nan, nan) on failure."""
+    """One sampled graph -> (deviation norm, tau used); the norm is nan where
+    the solver does not converge, and tau is nan outside tau-laplacian."""
     g, labels = sample(point["spec"], point["n"], sample_seed)
     E = expected_matrix(point["spec"], labels)
     tau = math.nan
     mode = point["regularization"]
     if mode == "tau-laplacian":
         tau = choose_tau(g, point["tau_rho"])
-        if tau <= 0:
-            return math.nan, tau
         op = regularized_laplacian(g, tau) - expected_regularized_laplacian(E, tau)
         basis = _TAU_BASIS
     else:
@@ -352,8 +351,9 @@ def measure_concentration(config, threads=None):
     A' is the regularized adjacency (or the regularized Laplacian pair, where
     the statistic becomes ||L(A_tau) - L(E A_tau)||).  Per grid point the
     result carries the mean/stderr of the norm, its ratio to sqrt(d), and the
-    ratio to every applicable closed-form bound at C = 1.  Solver failures are
-    dropped from the averages and counted in a solver_failures row.
+    ratio to every applicable closed-form bound at C = 1.  A replicate fails
+    only when its solver does not converge: it is left out of every average,
+    the tau row's included, and counted in a solver_failures row.
     """
     points = _grid_points(config)
     seed = config.seed
@@ -363,7 +363,7 @@ def measure_concentration(config, threads=None):
     for gi, point in enumerate(points):
         mean, stderr, used = _mean_stderr(norms[gi])
         records.append(_row(point, seed, "deviation_norm", mean, stderr, used))
-        tau_mean = _mean_stderr(taus[gi])[0]
+        tau_mean = _mean_stderr(taus[gi][np.isfinite(norms[gi])])[0]
         if config.regularization == "tau-laplacian":
             records.append(_row(point, seed, "tau", tau_mean, "", used))
         if mean != "":
@@ -461,10 +461,7 @@ def _phase_replicate(point, sample_seed, solver_seed):
             capped, _ = degree_regularize(g, point["a"], point["cap_multiplier"])
             op = SymmetricOperator.from_graph(capped)
         else:
-            tau = choose_tau(g, point["tau_rho"])
-            if tau <= 0:
-                return math.nan, math.nan
-            op = regularized_laplacian(g, tau)
+            op = regularized_laplacian(g, choose_tau(g, point["tau_rho"]))
         pairs = top_eigs(op, 2, which="largest-algebraic", tol=tol,
                          seed=solver_seed)
     except NonConvergenceError:

@@ -106,8 +106,11 @@ class Graph:
     """
 
     def __init__(self, n, i, j, w):
-        i = np.asarray(i, dtype=np.int64)
-        j = np.asarray(j, dtype=np.int64)
+        try:
+            i = np.asarray(i, dtype=np.int64)
+            j = np.asarray(j, dtype=np.int64)
+        except OverflowError:  # an endpoint beyond int64
+            raise ValueError("edge endpoint out of range") from None
         w = np.asarray(w, dtype=np.float64)
         _validate.at_least("n", n, 0)
         if n > _MAX_N:
@@ -256,12 +259,12 @@ def read_labels(path):
         lines = fh.read().splitlines()
     try:
         return np.fromiter(map(int, filter(str.strip, lines)), dtype=np.int64)
-    except ValueError:
+    except (ValueError, OverflowError):
         pass
-    for number, ln in enumerate(lines, 1):  # find the line int() refused
+    for number, ln in enumerate(lines, 1):  # find the first line that is no int64
         try:
-            int(ln)
-        except ValueError:
+            np.int64(int(ln))
+        except (ValueError, OverflowError):
             if ln.strip():
                 raise ValueError(f"malformed label line {number}: {ln!r}") from None
 

@@ -2,7 +2,7 @@
 
 The central object is a SymmetricOperator: a sum of terms, each of the form
 
-    sign * D_s (S + P + gamma * 11^T + mu * I) D_s
+    sign * D_s (S + P + gamma * 11^T) D_s
 
 with S sparse, P an ExpectedMatrix (block form; a dense P is n blocks of one
 node), D_s an optional diagonal scaling and sign = +1 or -1.  That covers
@@ -51,11 +51,10 @@ class _Term:
     sparse: object = None       # scipy sparse matrix, or None
     expected: object = None     # ExpectedMatrix, or None
     rank_one: float = 0.0       # gamma in gamma * 11^T
-    eye: float = 0.0            # mu in mu * I
 
     def negated(self):
         return _Term(-self.sign, self.scale, self.sparse, self.expected,
-                     self.rank_one, self.eye)
+                     self.rank_one)
 
 
 def _scaled_csr(S, sign, s):
@@ -87,8 +86,7 @@ class SymmetricOperator:
         self._folded = None
 
     @classmethod
-    def compose(cls, n, sparse=None, expected=None, rank_one=0.0, eye=0.0,
-                scale=None):
+    def compose(cls, n, sparse=None, expected=None, rank_one=0.0, scale=None):
         """Single-term operator sign-positive; see module docstring for the form."""
         if scale is not None:
             scale = np.asarray(scale, dtype=np.float64)
@@ -98,7 +96,7 @@ class SymmetricOperator:
             sparse = sp.csr_matrix(sparse)
             if sparse.shape != (n, n):
                 raise ValueError("sparse part must be n x n")
-        return cls(n, [_Term(1.0, scale, sparse, expected, rank_one, eye)])
+        return cls(n, [_Term(1.0, scale, sparse, expected, rank_one)])
 
     @classmethod
     def from_graph(cls, graph):
@@ -136,13 +134,12 @@ class SymmetricOperator:
         lowrank = []
         for t in self.terms:
             s = t.scale
-            s2 = 1.0 if s is None else s * s
             if t.sparse is not None:
                 part = _scaled_csr(t.sparse, t.sign, s)
                 csr = part if csr is None else csr + part
             if t.expected is not None:
                 theta, c, B, Ediag = t.expected.block_factors()
-                diag -= t.sign * Ediag * s2
+                diag -= t.sign * Ediag * (1.0 if s is None else s * s)
                 # unit theta keeps u = None on the unscaled A - E[A] operators
                 u = s if np.all(theta == 1.0) else (
                     theta if s is None else s * theta)
@@ -152,8 +149,6 @@ class SymmetricOperator:
                     lowrank.append((u, c, B, t.sign))
             if t.rank_one != 0.0:
                 lowrank.append((s, None, t.rank_one, t.sign))
-            if t.eye != 0.0:
-                diag += t.sign * t.eye * s2
         if not np.any(diag):
             diag = None
         self._folded = (csr, diag, lowrank)
@@ -197,8 +192,6 @@ class SymmetricOperator:
                 part += t.expected.to_dense()
             if t.rank_one != 0.0:
                 part += t.rank_one * np.ones((self.n, self.n))
-            if t.eye != 0.0:
-                part += t.eye * np.eye(self.n)
             if t.scale is not None:
                 part = t.scale[:, None] * part * t.scale[None, :]
             M += t.sign * part

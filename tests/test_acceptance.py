@@ -11,6 +11,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import specgraph
 from specgraph.bounds import (
@@ -196,7 +197,8 @@ def _random_instance(seed):
     if rng.random() < 0.7:
         parts["scale"] = rng.uniform(0.5, 1.5, size=n)
     if rng.random() < 0.5:
-        parts["eye"] = float(rng.normal())
+        # mu * I, scaled with the adjacency like any sparse entry
+        parts["sparse"] = parts["sparse"] + float(rng.normal()) * sp.identity(n)
     return SymmetricOperator.compose(n, **parts)
 
 

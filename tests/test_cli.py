@@ -98,6 +98,16 @@ def test_gen_missing_n(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--model", "er"), "--model er needs --p"),
+    (("--model", "pp", "--a", "5"), "--model pp needs --a and --b"),
+    (("--model", "sbm"), "--model sbm needs --spec with the full parameter set"),
+])
+def test_gen_model_flags_missing_a_parameter(capsys, argv, message):
+    code, out, err = run(capsys, "gen", *argv, "--n", "4")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_gen_pp_deterministic(capsys):
     args = ("gen", "--model", "pp", "--a", "6", "--b", "1", "--n", "80",
             "--seed", "7")
@@ -198,6 +208,20 @@ def test_n_past_the_edge_key_bound_exits_2(tmp_path, capsys, argv):
     assert code == 2 and out == ""
     assert err.startswith("error: n must be at most 3037000499, so that the edge key")
     assert "duplicate" not in err
+
+
+def test_integer_beyond_int64_exits_2(tmp_path, capsys):
+    big = "99999999999999999999"
+    src = tmp_path / "g.tsv"
+    src.write_text(f"# n=3\n0\t{big}\t1\n")
+    code, out, err = run(capsys, "reg", "--in", str(src), "--mode", "cap",
+                         "--d-hat", "3")
+    assert (code, out, err) == (2, "", "error: edge endpoint out of range\n")
+    src.write_text(two_cliques_tsv())
+    truth = tmp_path / "t.labels"
+    truth.write_text(f"1\n{big}\n")
+    code, out, err = run(capsys, "detect", "--in", str(src), "--truth", str(truth))
+    assert (code, out, err) == (2, "", f"error: malformed label line 2: '{big}'\n")
 
 
 # ---------------------------------------------------------------------------

@@ -293,7 +293,7 @@ def test_cluster_deterministic_given_seed():
 
 
 def test_cluster_validation():
-    op = SymmetricOperator.compose(6, eye=1.0)
+    op = SymmetricOperator.from_matrix(np.eye(6))
     with pytest.raises(ValueError):
         spectral_cluster(op, mode="wat")
     with pytest.raises(ValueError):

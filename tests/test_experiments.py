@@ -22,7 +22,7 @@ from specgraph.experiments import (
     phase_sweep,
 )
 from specgraph.models import ER, expected_matrix, sample
-from specgraph.regularize import remove_high_degree
+from specgraph.regularize import choose_tau, remove_high_degree
 from specgraph.spectral import NonConvergenceError, SymmetricOperator, top_eigs
 
 
@@ -239,20 +239,51 @@ def test_concentration_counts_solver_failures(monkeypatch):
     assert (fail["mean"], fail["R"]) == (4, 4)
 
 
-def test_tau_zero_replicates_are_counted_as_solver_failures(monkeypatch):
-    # Pins present behaviour: on an edgeless ER d = 0 draw choose_tau gives
-    # tau = 0 and the replicate returns NaN before any solve, yet the point
-    # reports solver_failures = R
-    def no_solver(*args, **kwargs):
-        raise AssertionError("a solver ran")
+def counting_solver(monkeypatch):
+    """Rebind experiments.top_eigs to the real solver, counting its calls."""
+    calls = []
+    real = experiments.top_eigs
 
-    monkeypatch.setattr(experiments, "top_eigs", no_solver)
+    def solver(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "top_eigs", solver)
+    return calls
+
+
+def test_concentration_tau_row_averages_the_replicates_that_did_not_fail(
+        monkeypatch):
+    cfg = ExperimentConfig(model="er", n_grid=(200,), d_grid=(3.0,), R=4,
+                           seed=7, regularization="tau-laplacian")
+    taus = [choose_tau(sample(ER(3.0 / 200), 200, [7, 0, r, 0])[0], 0.25)
+            for r in range(4)]
+    failing_solver(monkeypatch, "top_eigs", {(0, 1), (0, 2)})
+    res = measure_concentration(cfg, threads=3)
+    assert res.to_csv() == measure_concentration(cfg, threads=1).to_csv()
+    stats = records_by_stat(res)
+    dev, tau = stats["deviation_norm"][0], stats["tau"][0]
+    assert tau["R"] == dev["R"] == 2
+    assert tau["mean"] == np.mean([taus[0], taus[3]]) != np.mean(taus)
+    # thm54 is evaluated at the tau of the draws whose norms it divides
+    (thm54,) = experiments._bound_values(dev, tau["mean"]).values()
+    assert stats["ratio_thm54"][0]["mean"] == dev["mean"] / thm54
+    fail = stats["solver_failures"][0]
+    assert (fail["mean"], fail["R"]) == (2, 4)
+
+
+def test_edgeless_tau_replicates_are_solved_at_tau_zero(monkeypatch):
+    # choose_tau gives 0 on an edgeless ER d = 0 draw, and L(A_0) - L(E A_0)
+    # is the zero operator: a solve like any other, not a failure
+    calls = counting_solver(monkeypatch)
     cfg = ExperimentConfig(model="er", n_grid=(100,), d_grid=(0.0,), R=3,
                            seed=1, regularization="tau-laplacian")
     stats = records_by_stat(measure_concentration(cfg, threads=1))
-    assert stats["deviation_norm"][0]["R"] == 0
-    fail = stats["solver_failures"][0]
-    assert (fail["mean"], fail["R"]) == (3, 3)
+    assert len(calls) == 3
+    assert set(stats) == {"deviation_norm", "tau"}
+    dev, tau = stats["deviation_norm"][0], stats["tau"][0]
+    assert (dev["mean"], dev["stderr"], dev["R"]) == (0.0, 0.0, 3)
+    assert (tau["mean"], tau["stderr"], tau["R"]) == (0.0, "", 3)
 
 
 def test_phase_accuracy_counts_only_successful_replicates(monkeypatch):
@@ -269,16 +300,15 @@ def test_phase_accuracy_counts_only_successful_replicates(monkeypatch):
     assert (high["snr"], high["mean"], high["stderr"], high["R"]) == (4.0, "", "", 0)
 
 
-def test_phase_tau_zero_replicate_solves_nothing(monkeypatch):
-    def no_solver(*args, **kwargs):
-        raise AssertionError("a solver ran")
-
-    monkeypatch.setattr(experiments, "top_eigs", no_solver)
-    # p = 1e-7 per pair: every draw is edgeless, so choose_tau gives 0
+def test_phase_edgeless_replicate_is_solved_at_tau_zero(monkeypatch):
+    calls = counting_solver(monkeypatch)
+    # p = 1e-7 per pair: every draw is edgeless, so choose_tau gives 0 and
+    # the sign rule reads an eigenvector of the zero operator: chance
     res = phase_sweep(d=1e-6, snr_grid=[0.0], n=10, R=3, method="reg-laplacian",
                       threads=1)
     (rec,) = res.records
-    assert (rec["statistic"], rec["mean"], rec["R"]) == ("accuracy", "", 0)
+    assert len(calls) == 3
+    assert (rec["statistic"], rec["mean"], rec["R"]) == ("accuracy", 0.5, 3)
 
 
 def test_vertex_removal_replicate_is_removal_then_centered_solve():

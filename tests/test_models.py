@@ -396,6 +396,11 @@ def test_graph_validation():
         Graph(4, [2], [1], [1.0])  # i >= j
     with pytest.raises(ValueError):
         Graph(4, [0], [4], [1.0])  # endpoint out of range
+    for big in (2 ** 63, -2 ** 63 - 1):  # beyond int64: no OverflowError
+        with pytest.raises(ValueError, match="^edge endpoint out of range$"):
+            Graph(4, [0], [big], [1.0])
+        with pytest.raises(ValueError, match="^edge endpoint out of range$"):
+            Graph.parse_tsv(f"# n=4\n0\t{big}\t1\n")
     with pytest.raises(ValueError):
         Graph(4, [0, 1], [1], [1.0])  # ragged arrays
     with pytest.raises(ValueError, match="n must be nonnegative"):
@@ -459,6 +464,21 @@ def test_lsm_expected_matrix_unchanged(X):
     spec = LSM(tuple(map(tuple, np.asarray(X))))
     P = expected_matrix(spec, np.ones(len(spec.positions), dtype=np.int64)).to_dense()
     assert np.array_equal(P, _lsm_reference(X))
+
+
+def test_expected_matrix_validation(monkeypatch):
+    B = ((0.5, 0.1), (0.1, 0.5))
+    for labels in ([1, 3], [0, 1]):  # labels lie in 1..K
+        with pytest.raises(ValueError, match="^label out of range for B$"):
+            ExpectedMatrix(labels, B)
+    three = np.ones(3, dtype=np.int64)
+    with pytest.raises(ValueError, match=r"^LSM position count must equal len\(labels\)$"):
+        expected_matrix(LSM(((0.0, 0.0), (1.0, 0.0))), three)
+    with pytest.raises(ValueError, match=r"^P size must equal len\(labels\)$"):
+        expected_matrix(IERM(((0.0, 0.5), (0.5, 0.0))), three)
+    monkeypatch.setattr(models, "DENSE_LIMIT", 2)
+    with pytest.raises(ValueError, match="^refusing to densify n=3 > 2$"):
+        expected_matrix(ER(0.5), three).to_dense()
 
 
 @pytest.mark.parametrize("make", [
@@ -614,6 +634,11 @@ def test_read_labels_takes_what_int_takes_and_names_a_bad_line(tmp_path):
     path.write_text("1\n\n2\n1.0\nx\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"^malformed label line 4: '1\.0'$"):
         read_labels(path)
+    # int() takes it, int64 does not
+    path.write_text("-9223372036854775808\n9223372036854775807\n\n"
+                    "99999999999999999999\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"^malformed label line 4: '9{20}'$"):
+        read_labels(path)
 
 
 def _format_tsv_by_edges(g):
@@ -705,6 +730,16 @@ def test_model_json_round_trip():
 def test_model_json_unknown_kind():
     with pytest.raises(ValueError):
         model_from_json(json.dumps({"model": "wat"}))
+
+
+@pytest.mark.parametrize("call", [
+    model_to_json,
+    lambda x: expected_matrix(x, np.ones(3, dtype=np.int64)),
+    lambda x: planted_labels(x, 3),
+], ids=["model_to_json", "expected_matrix", "planted_labels"])
+def test_non_spec_is_rejected(call):
+    with pytest.raises(ValueError, match=r"^not a model spec: \{'model': 'er'"):
+        call({"model": "er", "p": 0.5})
 
 
 @settings(max_examples=30, deadline=None)

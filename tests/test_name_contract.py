@@ -1,13 +1,23 @@
-"""The specgraph names that bench/tracing.py rebinds and that the demos
-import must exist in the package.
+"""The specgraph names that bench/tracing.py rebinds, that the demos import
+and that bench/run.py::matvec_split reads off an operator's terms must exist
+in the package.
 
-Both are read as source with ast, so a renamed or moved library name fails
+All three are read as source with ast, so a renamed or moved library name fails
 here, without running the benchmark or a demo.
 """
 
 import ast
 import importlib
 import pathlib
+
+import numpy as np
+
+from specgraph.models import ER, expected_matrix, sample
+from specgraph.regularize import (
+    choose_tau,
+    expected_regularized_laplacian,
+    regularized_laplacian,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -64,3 +74,45 @@ def test_demo_imports_exist():
                                                   alias.name)
                 checked += 1
     assert checked > 0
+
+
+def _term_reads():
+    """The attribute chains, such as ("expected", "matvec"), that
+    matvec_split reads off the loop variable of its `for t in op.terms`."""
+    fn = next(node for node in ast.walk(_tree(ROOT / "bench" / "run.py"))
+              if isinstance(node, ast.FunctionDef) and node.name == "matvec_split")
+    loop = next(node for node in ast.walk(fn) if isinstance(node, ast.For)
+                and ast.unparse(node.iter) == "op.terms")
+    chains = set()
+    for node in ast.walk(loop):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id == loop.target.id:
+            chains.add(tuple(reversed(chain)))
+    return chains
+
+
+def test_matvec_split_term_attributes_exist():
+    chains = _term_reads()
+    assert {("scale",), ("sparse",), ("expected", "matvec")} <= chains
+    spec = ER(0.2)
+    g, labels = sample(spec, 40, 0)
+    tau = choose_tau(g)
+    op = (regularized_laplacian(g, tau)
+          - expected_regularized_laplacian(expected_matrix(spec, labels), tau))
+    op.matvec(np.ones(op.n))  # the terms stay readable once folded
+    for chain in chains:
+        # matvec_split reads past a None only behind an `is not None` check
+        found = False
+        for t in op.terms:
+            obj = t
+            for attr in chain:
+                assert hasattr(obj, attr), chain
+                obj = getattr(obj, attr)
+                if obj is None:
+                    break
+            else:
+                found = True
+        assert found, f"no term of the folded operator has {'.'.join(chain)}"

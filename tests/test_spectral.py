@@ -46,7 +46,6 @@ def random_operator(seed, n=16):
         n,
         sparse=g.adjacency(),
         rank_one=rng.uniform(-0.5, 0.5),
-        eye=rng.uniform(-1, 1),
         scale=scale,
     )
     return op - SymmetricOperator.compose(n, expected=E, scale=scale)
@@ -315,7 +314,7 @@ def test_top_eigs_seed_invariant_values():
 
 
 def test_top_eigs_validation_and_nonconvergence():
-    op = SymmetricOperator.compose(8, eye=1.0)
+    op = SymmetricOperator.from_matrix(np.eye(8))
     with pytest.raises(ValueError):
         top_eigs(op, 0)
     with pytest.raises(ValueError):
