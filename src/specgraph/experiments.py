@@ -43,7 +43,7 @@ import numpy as np
 from . import _validate
 from . import bounds as bounds_mod
 from .detect import misclassification_rate, sign_partition
-from .models import ER, PlantedPartition, _open_text, expected_matrix, sample
+from .models import DENSE_LIMIT, ER, PlantedPartition, _open_text, expected_matrix, sample
 from .regularize import (
     choose_tau,
     degree_regularize,
@@ -423,6 +423,8 @@ def eigenvector_study(n=50, a=5.0, b=0.1, rho=0.1, seed=0):
     each operator against the planted labels.
     """
     n = _validate.integer("n", n, 3)  # each operator solves for k = 3 pairs
+    if n > DENSE_LIMIT:  # a basis of n vectors: ARPACK keeps about 2 n^2 doubles
+        raise ValueError(f"n must be at most {DENSE_LIMIT}, got {n}")
     g, labels = sample(PlantedPartition(a, b), n, [seed, 0])
     tau = choose_tau(g, rho)
     pairs_plain = top_eigs(laplacian(g), 3, which="largest-algebraic",

@@ -212,7 +212,10 @@ class Graph:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("# n="):
             raise ValueError("missing '# n=<n>' header line")
-        n = int(lines[0][4:])
+        try:
+            n = int(lines[0][4:])
+        except ValueError:
+            raise ValueError(f"malformed header line: {lines[0]!r}") from None
         ww = None
         # On ASCII text without \x1f, numpy's C reader accepts a subset of
         # what int() and float() accept, with equal values.  Elsewhere it
@@ -337,19 +340,23 @@ class DCSBM:
         object.__setattr__(self, "pi", base.pi)
         object.__setattr__(self, "B", base.B)
         theta = np.asarray(self.theta, dtype=np.float64)
-        if theta.ndim != 1 or not np.all((theta > 0) & np.isfinite(theta)):
+        if (theta.ndim != 1 or len(theta) == 0
+                or not np.all((theta > 0) & np.isfinite(theta))):
             raise ValueError("theta must be a finite positive vector")
-        # any label assignment is reachable under i.i.d. pi labels, so the
-        # product constraint must hold for the two largest theta values
-        # against the largest reachable block probability
-        support = np.asarray(base.pi) > 0
-        Bmax = np.asarray(base.B)[np.ix_(support, support)].max() if support.any() else 0.0
-        top = np.sort(theta)[::-1]
-        worst = top[0] * (top[1] if len(top) > 1 else top[0]) * Bmax
+        worst = _worst_pair(base.pi, base.B, theta)
         if worst > 1.0 + 1e-12:
             raise ValueError(
                 f"theta_i*theta_j*B must be <= 1 for all pairs (worst case {worst:.6g})")
         object.__setattr__(self, "theta", tuple(float(x) for x in theta))
+
+
+def _worst_pair(pi, B, theta):
+    """The largest theta_i theta_j B[c_i, c_j] that labels drawn i.i.d. from pi
+    can reach: any labelling is possible, so the two largest theta against the
+    largest B entry between labels of positive pi (a checked pi has one)."""
+    sup = np.asarray(pi) > 0
+    top = np.sort(theta)[::-1]
+    return top[0] * top[min(1, len(top) - 1)] * np.asarray(B)[np.ix_(sup, sup)].max()
 
 
 @dataclass(frozen=True)
@@ -523,6 +530,11 @@ class ExpectedMatrix:
 
     def max_entry(self):
         """Largest off-diagonal entry of P (0 if P has none)."""
+        return float(max(0.0, self._block_max.max()))
+
+    @functools.cached_property
+    def _block_max(self):
+        """K x K: the largest P_ij with c_i = k, c_j = l, i != j (0 if none)."""
         K = len(self.B)
         counts = np.bincount(self._c, minlength=K)
         first = np.cumsum(counts) - counts
@@ -533,7 +545,7 @@ class ExpectedMatrix:
         M = np.outer(top, top)
         M *= self.B
         np.fill_diagonal(M, top * second * np.diag(self.B))
-        return float(max(0.0, M.max()))
+        return M
 
     def to_dense(self):
         if self.n > DENSE_LIMIT:
@@ -616,6 +628,7 @@ def max_expected_degree(spec, n, labels=None):
     caller knows before sampling.  An SBM is a DCSBM with theta = 1, so its
     row max is (n - 1) max(B pi) over the labels of positive pi.
     """
+    _validate.integer("n", n, 1)
     if labels is None and not isinstance(spec, (SBM, DCSBM)):
         labels = planted_labels(spec, n)  # fixed, not drawn
     if labels is not None:
@@ -626,15 +639,10 @@ def max_expected_degree(spec, n, labels=None):
     theta = np.ones(n) if isinstance(spec, SBM) else np.asarray(spec.theta)
     if len(theta) != n:
         raise ValueError("theta length must equal n")
-    sup = pi > 0
     T = theta.sum()
     mean_block = B @ pi  # expected B_{k,c_j} over a random neighbor label
     rows = np.outer(theta, mean_block) * (T - theta)[:, None]
-    rowmax = rows[:, sup].max() if sup.any() else 0.0
-    top = np.sort(theta)[::-1]
-    pair = top[0] * (top[1] if len(top) > 1 else top[0])
-    entry = pair * (B[np.ix_(sup, sup)].max() if sup.any() else 0.0)
-    return float(rowmax), float(n * entry)
+    return float(rows[:, pi > 0].max()), float(n * _worst_pair(pi, B, theta))
 
 
 # ---------------------------------------------------------------------------
@@ -685,48 +693,34 @@ def _triangle_pairs(flat, m):
     return r, c
 
 
-def _sample_block_model(n, labels, B, theta, rng):
-    """Candidate edges per (community, community) block, thinned for theta."""
-    K = B.shape[0]
-    groups = [np.flatnonzero(labels == k + 1) for k in range(K)]
+def _sample_block_model(E, thin, rng):
+    """Edges of each block pair (k, l), drawn at B[k, l]; or, thinning for a
+    theta that is not all ones, drawn at the pair's largest P_ij and each kept
+    with probability P_ij over that cap."""
+    K = len(E.B)
+    groups = [np.flatnonzero(E.labels == k + 1) for k in range(K)]
     out_i, out_j = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for k in range(K):
         gk = groups[k]
         for l in range(k, K):
             gl = groups[l]
-            if len(gk) == 0 or len(gl) == 0 or B[k, l] <= 0.0:
+            cap = min(1.0, E._block_max[k, l]) if thin else E.B[k, l]
+            if len(gk) == 0 or len(gl) == 0 or cap <= 0.0:
                 continue
-            if theta is None:
-                cap = B[k, l]
-            else:
-                tk = np.sort(theta[gk])[::-1]
-                if k == l:
-                    if len(gk) < 2:
-                        continue
-                    pair = tk[0] * tk[1]
-                else:
-                    pair = tk[0] * theta[gl].max()
-                cap = min(1.0, B[k, l] * pair)
-                if cap <= 0.0:
-                    continue
             if k == l:
                 m = len(gk)
-                flat = _skip_indices(m * (m - 1) // 2, cap, rng)
-                r, c = _triangle_pairs(flat, m)
+                r, c = _triangle_pairs(_skip_indices(m * (m - 1) // 2, cap, rng), m)
                 gi, gj = gk[r], gk[c]
             else:
-                m1, m2 = len(gk), len(gl)
-                flat = _skip_indices(m1 * m2, cap, rng)
-                gi, gj = gk[flat // m2], gl[flat % m2]
-                # two blocks' nodes interleave; within a block r < c already
-                gi, gj = np.minimum(gi, gj), np.maximum(gi, gj)
-            if theta is not None and len(gi):
-                accept = theta[gi] * theta[gj] * B[k, l] / cap
-                keep = rng.random(len(gi)) < accept
+                flat = _skip_indices(len(gk) * len(gl), cap, rng)
+                gi, gj = gk[flat // len(gl)], gl[flat % len(gl)]
+            if thin:  # an empty draw takes no random numbers
+                keep = rng.random(len(gi)) < E.entries(gi, gj) / cap
                 gi, gj = gi[keep], gj[keep]
-            if len(gi):
-                out_i.append(gi)
-                out_j.append(gj)
+            if k != l:  # two blocks' nodes interleave; within a block r < c already
+                gi, gj = np.minimum(gi, gj), np.maximum(gi, gj)
+            out_i.append(gi)
+            out_j.append(gj)
     return np.concatenate(out_i), np.concatenate(out_j)
 
 
@@ -756,6 +750,5 @@ def sample(spec, n, seed):
     if isinstance(spec, (LSM, IERM)):  # a dense P: B with one block per node
         gi, gj = _sample_dense(E.B, rng)
     else:  # theta of all ones would spend draws on thinning
-        theta = E.theta if isinstance(spec, DCSBM) else None
-        gi, gj = _sample_block_model(n, E.labels, E.B, theta, rng)
+        gi, gj = _sample_block_model(E, isinstance(spec, DCSBM), rng)
     return Graph(n, gi, gj, np.ones(len(gi))), labels

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import warnings
@@ -69,6 +70,75 @@ def test_sample_deterministic_given_seed():
     assert np.array_equal(l1, l2)
     g3, _ = sample(spec, 30, 43)
     assert g1 != g3  # astronomically unlikely to collide
+
+
+# One spec per model at n = 30.  The DCSBM's seeds 0-2 draw blocks of 3, 0
+# and 1 nodes for label 3, label 4 has pi = 0 (always empty) and label 2 a
+# zero B row.
+_STREAM_N = 30
+_STREAM_SPECS = {
+    "er": ER(0.15),
+    "pp": PlantedPartition(6.0, 1.5),
+    "sbm": SBM((0.3, 0.7), ((0.4, 0.05), (0.05, 0.25))),
+    "dcsbm": DCSBM((0.56, 0.39, 0.05, 0.0),
+                   ((0.8, 0.0, 0.6, 0.2), (0.0, 0.0, 0.0, 0.0),
+                    (0.6, 0.0, 0.9, 0.4), (0.2, 0.0, 0.4, 0.7)),
+                   tuple(0.35 + 0.02 * ((7 * i) % _STREAM_N) for i in range(_STREAM_N))),
+    "lsm": LSM(tuple((0.25 * i, 0.5 * (i % 3)) for i in range(_STREAM_N))),
+    "ierm": IERM(tuple(tuple(0.0 if i == j else ((i + j) % 5) / 8
+                             for j in range(_STREAM_N))
+                       for i in range(_STREAM_N))),
+}
+# sha256 of format_tsv() then the int64 label bytes, for seeds 0, 1 and 2,
+# recorded with numpy 2.4 (a numpy release may change a Generator method's
+# stream, and so these values)
+_STREAM_SHA256 = {
+    "er": (
+        "9d94ffed017b91897d42e3abe3caa22121302f8be95b3c33bb41be21b7c27bad",
+        "44303ca58999edc12bb7e5c1851da5c96503b117cf0db805a8b56cc59ece4abe",
+        "bf4c7c108beae7c100f1a981a690ec840193706ad1d5ac17bf1e876e7e523b0a",
+    ),
+    "pp": (
+        "c2b657a425056cd46d6737696da2c828cb8a1dd4e4c574b0303120c16b73e0c8",
+        "094bd5f0c5701ba28b402eb0e42498a4905094fe3803916c4b9317855811c632",
+        "c3848cffc1ba34ee71a7dfbb13e54e278520af23f0cb4fff7dc42180daa7662c",
+    ),
+    "sbm": (
+        "32e8327e34a972c67abacd027ac26a90668e25dd5efa10b37119dd0f5f4202bb",
+        "924289c3ade3de7702cb077618de41652994e56b9d3e5d2711e4dff8f2ad8e64",
+        "ecbab6fd8d9c4769bb58bb1a558b3d0bfe5967a771b229986cb278f4c4d2978e",
+    ),
+    "dcsbm": (
+        "256e87df80bf4adea07b0e78bc7d09ea2c18714c40e26efab1d35157ee7353dc",
+        "44787c159d5690cb1a574ab8ccd8459af96833a9eb8f021bd694167590e134bb",
+        "35e22e52148d2d411632dc4cb8ffd01727a9127a7b107c32fd07e4eeac562583",
+    ),
+    "lsm": (
+        "d03d4bf3d3ad71d4b584dfcecde123d70a9a9e1bbca21afa941e59bd34e83291",
+        "7be7a5d39371d381ea59312d164ca3ab5c616a2d588d028f4f99aee9de734b4a",
+        "4f3312d24062522ac4aea195681ceaf8a98eb275bbbfef5d50a4261030c494bf",
+    ),
+    "ierm": (
+        "76908215e8f11a8266c1854ca011615838b9a02b572a5ef4d43af96fc54c5db9",
+        "e3faf924144194a4ada1eb13b82a9d958987c5f835627db5348a1ba1038a3c09",
+        "a2de709df33a7edda04e01bb0c03f75eb1198962904779180e6b15c85746ef4c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STREAM_SPECS))
+def test_sample_stream_is_pinned(name):
+    # every draw, its order and its probability are fixed per (spec, n, seed):
+    # a change to the sampler that moves the random stream changes these bytes
+    digests, sizes = [], []
+    for seed in range(3):
+        g, labels = sample(_STREAM_SPECS[name], _STREAM_N, seed)
+        digests.append(hashlib.sha256(g.format_tsv().encode("ascii")
+                                      + labels.astype(np.int64).tobytes()).hexdigest())
+        sizes.append(np.bincount(labels, minlength=5)[1:].tolist())
+    assert tuple(digests) == _STREAM_SHA256[name]
+    if name == "dcsbm":  # the block shapes the comment above names
+        assert [size[2:] for size in sizes] == [[3, 0], [0, 0], [1, 0]]
 
 
 def test_planted_partition_split_convention():
@@ -267,6 +337,13 @@ def test_block_matvec_matches_dense(name):
     assert np.allclose(E.row_sums(), P.sum(axis=1), atol=1e-12)
     assert np.allclose(E.row_sq_sums(), (P ** 2).sum(axis=1), atol=1e-12)
     assert E.max_entry() == pytest.approx(P.max(), abs=1e-14)
+    # the block sampler's caps: the largest P_ij of each block pair
+    c = E.labels - 1
+    K = len(E.B)
+    M = np.zeros((K, K))
+    rows, cols = np.nonzero(~np.eye(n, dtype=bool))
+    np.maximum.at(M, (c[rows], c[cols]), P[rows, cols])
+    assert np.allclose(E._block_max, M, atol=1e-14)
     ii, jj = np.triu_indices(n, 1)
     assert np.allclose(E.entries(ii, jj), P[ii, jj], atol=1e-14)
 
@@ -295,6 +372,11 @@ def test_max_expected_degree_conventions():
     rowmax, entrymax = max_expected_degree(LSM(((0.0,), (1.0,), (3.0,))), 3)
     assert rowmax == pytest.approx(np.exp(-1.0) + np.exp(-2.0), rel=1e-15)
     assert entrymax == pytest.approx(3 * np.exp(-1.0), rel=1e-15)
+
+    # fixed labels (ER) and population labels (SBM) both need a node
+    for spec in (ER(0.1), SBM((1.0,), ((0.5,),))):
+        with pytest.raises(ValueError, match="n must be at least 1, got 0"):
+            max_expected_degree(spec, 0)
 
 
 def test_max_expected_degree_sbm_is_dcsbm_with_unit_theta():
@@ -364,9 +446,9 @@ def test_dcsbm_validation():
     with pytest.raises(ValueError):
         # top two thetas against max B give probability > 1
         DCSBM((0.5, 0.5), ((0.9, 0.1), (0.1, 0.9)), (2.0, 2.0, 0.5))
-    for x in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="theta"):
-            DCSBM((1.0,), ((0.0,),), (x, 1.0, 1.0))
+    for theta in ((math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0), ()):
+        with pytest.raises(ValueError, match="theta must be a finite positive vector"):
+            DCSBM((1.0,), ((0.0,),), theta)
     # sample checks theta against its n through expected_matrix
     with pytest.raises(ValueError, match="theta length must equal the number of labels"):
         sample(DCSBM((0.5, 0.5), ((0.5, 0.1), (0.1, 0.5)), (1.0,) * 3), 4, 0)
@@ -526,6 +608,8 @@ def test_tsv_parse_errors():
         Graph.parse_tsv("# n=3\n0\t1\t0\n")  # nonpositive weight
     with pytest.raises(ValueError, match="n must be nonnegative"):
         Graph.parse_tsv("# n=-3\n")
+    with pytest.raises(ValueError, match=r"^malformed header line: '# n=abc'$"):
+        Graph.parse_tsv("# n=abc\n0\t1\t1\n")
 
 
 @pytest.mark.parametrize("body", [

@@ -1,8 +1,8 @@
-"""The specgraph names that bench/tracing.py rebinds, that the demos import
-and that bench/run.py::matvec_split reads off an operator's terms must exist
-in the package.
+"""The specgraph names that bench/tracing.py rebinds, that the demos and the
+bench scripts import and that bench/run.py::matvec_split reads off an
+operator's terms must exist in the package.
 
-All three are read as source with ast, so a renamed or moved library name fails
+All of them are read as source with ast, so a renamed or moved library name fails
 here, without running the benchmark or a demo.
 """
 
@@ -59,21 +59,47 @@ def test_tracer_targets_exist():
         assert attr in vars(owner), f"specgraph.{module}.{cls}.{attr}"
 
 
+def _library_imports(paths):
+    """(file name, module, name) of each `from specgraph... import name`."""
+    for path in paths:
+        for node in ast.walk(_tree(path)):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "specgraph"):
+                for alias in node.names:
+                    yield path.name, node.module, alias.name
+
+
+def _resolves(module, name):
+    """Whether `from module import name` finds a name or a submodule, as the
+    import statement does."""
+    mod = importlib.import_module(module)
+    if hasattr(mod, name):
+        return True
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
 def test_demo_imports_exist():
     demos = sorted((ROOT / "demos").glob("*.py"))
     assert demos
-    checked = 0
-    for path in demos:
-        for node in ast.walk(_tree(path)):
-            if not (isinstance(node, ast.ImportFrom) and node.module
-                    and node.module.split(".")[0] == "specgraph"):
-                continue
-            mod = importlib.import_module(node.module)
-            for alias in node.names:
-                assert hasattr(mod, alias.name), (path.name, node.module,
-                                                  alias.name)
-                checked += 1
-    assert checked > 0
+    found = list(_library_imports(demos))
+    assert found
+    for where in found:
+        assert _resolves(*where[1:]), where
+
+
+def test_bench_imports_exist():
+    found = list(_library_imports(sorted((ROOT / "bench").glob("*.py"))))
+    # the workloads reach the library through these modules
+    assert {("run.py", "specgraph.models"), ("run.py", "specgraph.regularize"),
+            ("run.py", "specgraph.spectral"), ("workloads.py", "specgraph.experiments"),
+            ("workloads.py", "specgraph.cli"),
+            ("workloads.py", "specgraph.models")} <= {w[:2] for w in found}
+    for where in found:
+        assert _resolves(*where[1:]), where
 
 
 def _term_reads():
