@@ -43,7 +43,7 @@ import numpy as np
 from . import _validate
 from . import bounds as bounds_mod
 from .detect import misclassification_rate, sign_partition
-from .models import DENSE_LIMIT, ER, PlantedPartition, _open_text, expected_matrix, sample
+from .models import ER, PlantedPartition, _open_text, expected_matrix, sample
 from .regularize import (
     choose_tau,
     degree_regularize,
@@ -399,7 +399,8 @@ def _canonical_sign(v):
 
 @dataclass
 class EigenvectorStudy:
-    """Top-3 eigenvectors of L(A) and L(A_tau) on one planted-partition draw."""
+    """Top-3 eigenvectors of L(A) and L(A_tau) on one planted-partition draw;
+    eigenvector_study states which vectors of L(A)'s eigenvalue 1 it holds."""
 
     table: np.ndarray          # n x 6: unregularized v1..v3, regularized v1..v3
     mis_unregularized: float
@@ -421,18 +422,29 @@ def eigenvector_study(n=50, a=5.0, b=0.1, rho=0.1, seed=0):
     Nodes are ordered with the planted communities contiguous.  The
     misclassification pair scores the sign rule on the second eigenvector of
     each operator against the planted labels.
+
+    L(A)'s eigenvalue 1 has one eigenvector D^{1/2} 1_C per component C with
+    an edge (Chung 1997, ch. 1).  The plain columns start with these,
+    normalized, by each C's smallest node; top_eigs solves for the rest.
     """
     n = _validate.integer("n", n, 3)  # each operator solves for k = 3 pairs
-    if n > DENSE_LIMIT:  # a basis of n vectors: ARPACK keeps about 2 n^2 doubles
-        raise ValueError(f"n must be at most {DENSE_LIMIT}, got {n}")
     g, labels = sample(PlantedPartition(a, b), n, [seed, 0])
     tau = choose_tau(g, rho)
-    pairs_plain = top_eigs(laplacian(g), 3, which="largest-algebraic",
-                           tol=1e-10, seed=[seed, 1], max_basis=n)
-    pairs_reg = top_eigs(regularized_laplacian(g, tau), 3, which="largest-algebraic",
-                         tol=1e-10, seed=[seed, 2], max_basis=n)
-    cols = [_canonical_sign(p.vector) for p in pairs_plain]
-    cols += [_canonical_sign(p.vector) for p in pairs_reg]
+    # imported on first use (README, Start-up)
+    from scipy.sparse.csgraph import connected_components
+    _, comp = connected_components(g.adjacency(), directed=False)
+    root = np.sqrt(g.degrees())
+    found, first = np.unique(comp[root > 0], return_index=True)
+    cols, plain = [], laplacian(g)
+    for c in found[np.argsort(first)][:3]:
+        cols.append(np.where(comp == c, root, 0.0) / np.linalg.norm(root[comp == c]))
+        # moves it from eigenvalue 1 to -2, below the spectrum
+        plain -= SymmetricOperator.compose(n, rank_one=3.0, scale=cols[-1])
+    if len(cols) < 3:
+        cols += [_canonical_sign(p.vector) for p in top_eigs(
+            plain, 3 - len(cols), tol=1e-10, seed=[seed, 1])]
+    cols += [_canonical_sign(p.vector) for p in top_eigs(
+        regularized_laplacian(g, tau), 3, tol=1e-10, seed=[seed, 2])]
     table = np.column_stack(cols)
     mis_plain = misclassification_rate(sign_partition(table[:, 1]), labels)
     mis_reg = misclassification_rate(sign_partition(table[:, 4]), labels)

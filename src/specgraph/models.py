@@ -632,6 +632,8 @@ def max_expected_degree(spec, n, labels=None):
     if labels is None and not isinstance(spec, (SBM, DCSBM)):
         labels = planted_labels(spec, n)  # fixed, not drawn
     if labels is not None:
+        if len(labels) != n:
+            raise ValueError(f"labels length must equal n = {n}, got {len(labels)}")
         E = expected_matrix(spec, labels)
         return float(E.row_sums().max()), float(E.n * E.max_entry())
     pi = np.asarray(spec.pi)

@@ -231,7 +231,9 @@ def top_eigs(op, k, which="largest-algebraic", tol=1e-8, seed=None, max_basis=No
             tol * max(1, |theta|), recomputed for every returned pair.  It
             bounds each returned pair's residual, not which member of a
             tight cluster is found: a loose largest-magnitude solve can
-            return a genuine eigenpair just below the top one.
+            return a genuine eigenpair just below the top one.  Nor does it
+            bound multiplicity: at the default basis L(A)'s eigenvalue 1,
+            repeated once per component with an edge, can come back once.
         seed: start-vector seed.  Another seed or tol can change the
             returned pairs (within a cluster, not only within tol).
         max_basis: Lanczos basis size (ARPACK's ncv), clipped to k < ncv <= n;

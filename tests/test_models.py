@@ -399,6 +399,9 @@ def test_max_expected_degree_with_labels_exact():
     P = expected_matrix(spec, labels).to_dense()
     assert rowmax == pytest.approx(P.sum(axis=1).max())
     assert entrymax == pytest.approx(5 * P.max())
+    # labels fix the size of P, so they must agree with n
+    with pytest.raises(ValueError, match="labels length must equal n = 3, got 10"):
+        max_expected_degree(ER(0.1), 3, np.ones(10, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

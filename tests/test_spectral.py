@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specgraph import experiments
 from specgraph.experiments import eigenvector_study
 from specgraph.models import (
     DCSBM,
@@ -366,17 +367,43 @@ def test_top_eigs_same_seed_byte_identical_through_restarts(draw):
     assert vectors() == vectors()
 
 
-def test_eigenvector_study_plain_values_match_eigvalsh():
-    # eigenvalue 1 of the plain Laplacian is repeated in most of these draws;
-    # the study must report it with its multiplicity, not skip to a later one
+def test_eigenvector_study_plain_values_match_eigvalsh(monkeypatch):
+    # eigenvalue 1 of the plain Laplacian is repeated in most of these draws,
+    # once per component with an edge; the study must report it with its
+    # multiplicity, not skip to a later one, and its vectors are
+    # D^{1/2} 1_C / ||D^{1/2} 1_C||, in order of each component's smallest node
+    from scipy.sparse.csgraph import connected_components
+
+    real = experiments.top_eigs
+
+    def default_basis(op, k, which="largest-algebraic", tol=1e-8, seed=None,
+                      max_basis=None):
+        assert max_basis is None, "a study solve set max_basis"
+        return real(op, k, which, tol, seed)
+
+    monkeypatch.setattr(experiments, "top_eigs", default_basis)
     for seed in range(200):
         study = eigenvector_study(seed=seed)
         g, _ = sample(PlantedPartition(5.0, 0.1), 50, [seed, 0])
         L = laplacian(g).to_dense()
         V = study.table[:, :3]
         assert np.allclose(V.T @ V, np.eye(3), atol=1e-8), seed
-        ref = np.linalg.eigvalsh(L)[::-1][:3]
+        w = np.linalg.eigvalsh(L)
+        ref = w[::-1][:3]
         assert np.allclose(np.diag(V.T @ L @ V), ref, atol=1e-8), seed
+        _, comp = connected_components(g.adjacency(), directed=False)
+        with_edge = np.unique(comp[g.degrees() > 0])
+        m = len(with_edge)
+        assert m == np.count_nonzero(np.abs(w - 1.0) <= 1e-9), seed
+        smallest = sorted(int(np.flatnonzero(comp == c)[0]) for c in with_edge)
+        starts = []
+        for v in V.T[:min(3, m)]:
+            assert np.linalg.norm(L @ v - v) <= 1e-10, seed
+            assert v.min() >= 0, seed
+            support = np.flatnonzero(v)
+            assert len(np.unique(comp[support])) == 1, seed
+            starts.append(int(support[0]))
+        assert starts == smallest[:3], seed
 
 
 @pytest.mark.parametrize("which", ["largest-algebraic", "smallest-algebraic",
