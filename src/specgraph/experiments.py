@@ -15,25 +15,40 @@ a fixed order, so results are byte-identical for any thread count.
 
 BLAS rule: a grid runs with every loaded OpenBLAS held at one thread, for any
 pool size, and the previous counts come back when it ends, so BLAS threads do
-not compete with the replicate pool for the cores.  The pool's threads share
-the GIL and overlap only in native code that releases it: numpy's array
-operations and scipy's CSR product do, ARPACK's Lanczos steps (dsaupd) do
-not, and those take most of a solve.  On 2 vCPUs two workers ran the phase
-grid 1.37x as fast as one and the sparse n = 1e4 grid no faster (README, BLAS
-rule).  The BLAS thread count sets the reduction order, which moves the last
-digits at n = 1e5, so pinning it also makes the CSV bytes independent of
-OPENBLAS_NUM_THREADS and the host's core count.  One-off solves outside a
-grid (the CLI's detect and fig-eigvec) keep OpenBLAS's own setting.
+not compete with the replicate pool for the cores.  The BLAS thread count
+sets the reduction order, which moves the last digits at n = 1e5, so pinning
+it also makes the CSV bytes independent of OPENBLAS_NUM_THREADS and the
+host's core count.  One-off solves outside a grid (the CLI's detect and
+fig-eigvec) keep OpenBLAS's own setting.
+
+Solver processes: the pool's threads share the GIL and overlap only in
+native code that releases it.  numpy's array operations and scipy's CSR
+product do; ARPACK's Lanczos steps (dsaupd) do not, and they take most of a
+solve.  So a grid with two workers or more, two tasks or more and a point of
+n >= spectral._POOL_MIN_N sends each ARPACK call to _solver_pool, forked
+worker processes with OpenBLAS at one thread, at most one per usable core.
+The replicates, and in them the sampling, the operator build, top_eigs's
+probe and residual recheck and the scoring, stay in the job threads of this
+process; smaller solves, one-task grids and threads=1 stay there entirely.
+A worker gets the folded operator and the solver's generator, so its result
+is the thread's, bit for bit.  On 2 vCPUs two workers ran the sparse ER d = 2,
+n = 1e4 grid at 52.8 replicates/s with solver processes, 37.7 without and
+33.9 with one worker; the phase grid (n = 4000) at 115.1, 113.5 and 93.6
+(README, Solver processes).  CPython 3.12 and later warn (DeprecationWarning)
+when a process that runs threads forks; OpenBLAS's idle threads count.
 """
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import ctypes
 import functools
 import glob
 import math
 import os
 import threading
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -42,6 +57,7 @@ import numpy as np
 
 from . import _validate
 from . import bounds as bounds_mod
+from . import spectral as spectral_mod
 from .detect import misclassification_rate, sign_partition
 from .models import ER, PlantedPartition, _open_text, expected_matrix, sample
 from .regularize import (
@@ -285,13 +301,102 @@ class _SingleThreadedBlas:
 _single_threaded_blas = _SingleThreadedBlas()
 
 
+def _usable_cores():
+    """The cores this process may run on (its affinity set, where known)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_init(parent):
+    """Set-up of a solver worker process: OpenBLAS at one thread, as in the
+    grid's threads, and exit soon after the parent is gone.  A killed parent
+    cannot shut its pool down, and each worker inherits the write end of the
+    pipe it reads its tasks from, so it would never read an end of file."""
+    for _, put in _openblas_controls():
+        put(1)
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+class _SolverPool:
+    """The forked worker processes that grids send their ARPACK calls to.
+
+    One pool serves every grid and persists between them; it is created, or
+    enlarged, only while no grid uses it.  Its workers fork from the thread
+    that calls in, before that grid starts its own threads, and the pool is
+    shut down and joined at interpreter exit.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._pool = None
+        self._size = 0
+        self._users = 0
+        # while concurrent.futures can still release the pool quietly
+        atexit.register(self._close)
+
+    @contextlib.contextmanager
+    def __call__(self, size):
+        """Yield the pool, with min(size, usable cores) workers unless a
+        running grid holds a smaller one.  A worker that dies stops the grid
+        with BrokenProcessPool, and the next grid gets a new pool."""
+        # imported on first use (README, Start-up); scipy.sparse.linalg
+        # before the fork, so that the workers inherit it
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        import scipy.sparse.linalg  # noqa: F401
+
+        size = min(size, _usable_cores())
+        with self._lock:
+            if self._pool is None or (self._size < size and not self._users):
+                self._close()
+                self._pool = ProcessPoolExecutor(
+                    size, mp_context=multiprocessing.get_context("fork"),
+                    initializer=_worker_init, initargs=(os.getpid(),))
+                self._size = size
+                self._pool.submit(int)  # forks every worker now, here
+            pool = self._pool
+            self._users += 1
+        try:
+            yield pool
+        except BrokenProcessPool as exc:
+            with self._lock:
+                if self._pool is pool:
+                    self._pool = None
+            pool.shutdown(wait=False)
+            raise BrokenProcessPool(
+                "an eigensolver worker process ended abruptly; the grid is "
+                "stopped, and the next grid starts new workers") from exc
+        finally:
+            with self._lock:
+                self._users -= 1
+
+    def _close(self):
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool, self._size = None, 0
+
+
+_solver_pool = _SolverPool()
+
+
 def _run_grid(points, R, seed, replicate_fn, threads=None):
     """Two (points x R) arrays of replicate_fn(point, sample_seed,
     solver_seed) pairs, filled in parallel; slot [gi, r] uses the seeds
     [seed, gi, r, 0] and [seed, gi, r, 1], so output order is fixed.
 
-    threads is None (one worker per core) or an integer >= 1.  BLAS stays at
-    one thread for the whole grid, whatever the pool size (module docstring).
+    threads is None (one worker per usable core) or an integer >= 1.  BLAS
+    stays at one thread for the whole grid, whatever the pool size.  With two
+    workers or more, two tasks or more and a point of n >= _POOL_MIN_N, the
+    job threads send their ARPACK calls to _solver_pool (module docstring).
     """
     if threads is not None:
         _validate.integer("threads", threads, 1)
@@ -311,11 +416,20 @@ def _run_grid(points, R, seed, replicate_fn, threads=None):
             raise
 
     tasks = [(gi, r) for gi in range(len(points)) for r in range(R)]
-    workers = threads or os.cpu_count() or 1
+    workers = threads or _usable_cores()
+    pooled = (workers > 1 and len(tasks) > 1 and
+              any(p.get("n", 0) >= spectral_mod._POOL_MIN_N for p in points))
+    solver_pool = _solver_pool(workers) if pooled else contextlib.nullcontext()
     # map raises the first failure and cancels the tasks still queued
-    with _single_threaded_blas, ThreadPoolExecutor(max_workers=workers) as pool:
+    with solver_pool as procs, _single_threaded_blas, ThreadPoolExecutor(
+            max_workers=workers, initializer=_carry, initargs=(procs,)) as pool:
         list(pool.map(job, tasks))
     return out[0], out[1]
+
+
+def _carry(procs):
+    """Job thread set-up: where top_eigs sends this thread's ARPACK calls."""
+    spectral_mod._grid_thread.pool = procs
 
 
 def _mean_stderr(values):

@@ -618,7 +618,8 @@ import json, sys
 import specgraph
 from specgraph.cli import main
 
-lazy = ("scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.cluster", "scipy.optimize")
+lazy = ("scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.cluster", "scipy.optimize",
+        "multiprocessing")
 report, *runs = sys.argv[1:]
 seen = []
 for argv in runs:
@@ -645,9 +646,10 @@ def _start_up(tmp_path, *runs):
 
 
 def test_solver_subpackages_load_on_first_use(tmp_path):
-    # import specgraph, bounds and gen load numpy and scipy.sparse only; the
-    # eigensolver, the assignment solver and k-means load when first called,
-    # and no command loads scipy.optimize
+    # import specgraph, bounds, gen and reg load numpy and scipy.sparse only;
+    # the eigensolver, the assignment solver and k-means load when first
+    # called, no command loads scipy.optimize, and only a grid that sends its
+    # solves to worker processes loads multiprocessing
     g = str(tmp_path / "g.tsv")
     linalg, csgraph, cluster = "scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.cluster"
     assert _start_up(
@@ -655,12 +657,18 @@ def test_solver_subpackages_load_on_first_use(tmp_path):
         ["bounds", "--bound", "bai-yin", "--d", "25"],
         ["gen", "--model", "pp", "--a", "6", "--b", "1", "--n", "60", "--seed", "1",
          "--out", g],
+        ["reg", "--in", g, "--mode", "cap", "--out", str(tmp_path / "capped.tsv")],
         ["detect", "--in", g, "--method", "top-k-embedding", "--truth", g + ".labels"],
-    ) == [[0, []], [0, []], [0, [linalg, csgraph, cluster]]]
+    ) == [[0, []], [0, []], [0, []], [0, [linalg, csgraph, cluster]]]
+    # below spectral._POOL_MIN_N a grid solves in its threads
     assert _start_up(
         tmp_path, ["phase", "--d", "4", "--snr", "0,4", "--n", "60", "--R", "2",
-                   "--seed", "0", "--threads", "1"],
+                   "--seed", "0", "--threads", "2"],
     ) == [[0, [linalg, csgraph]]]
+    assert _start_up(
+        tmp_path, ["sweep", "--n-grid", "1000", "--d-grid", "2", "--R", "2",
+                   "--seed", "0", "--threads", "2"],
+    ) == [[0, [linalg, "multiprocessing"]]]
     assert _start_up(
         tmp_path, ["fig-eigvec", "--n", "30", "--seed", "0",
                    "--out", str(tmp_path / "table.csv")],
