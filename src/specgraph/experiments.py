@@ -23,19 +23,20 @@ fig-eigvec) keep OpenBLAS's own setting.
 
 Solver processes: the pool's threads share the GIL and overlap only in
 native code that releases it.  numpy's array operations and scipy's CSR
-product do; ARPACK's Lanczos steps (dsaupd) do not, and they take most of a
-solve.  So a grid with two workers or more, two tasks or more and a point of
-n >= spectral._POOL_MIN_N sends each ARPACK call to _solver_pool, forked
-worker processes with OpenBLAS at one thread, at most one per usable core.
-The replicates, and in them the sampling, the operator build, top_eigs's
-probe and residual recheck and the scoring, stay in the job threads of this
-process; smaller solves, one-task grids and threads=1 stay there entirely.
-A worker gets the folded operator and the solver's generator, so its result
-is the thread's, bit for bit.  On 2 vCPUs two workers ran the sparse ER d = 2,
-n = 1e4 grid at 52.8 replicates/s with solver processes, 37.7 without and
-33.9 with one worker; the phase grid (n = 4000) at 115.1, 113.5 and 93.6
-(README, Solver processes).  CPython 3.12 and later warn (DeprecationWarning)
-when a process that runs threads forks; OpenBLAS's idle threads count.
+product do; ARPACK's Lanczos steps (dsaupd) and the Python around every
+stage of a replicate do not.  So in a grid with two workers or more, two
+tasks or more and a point of n >= _POOL_MIN_N, each replicate at such a
+point runs its whole body (sampling, regularization, the operator, top_eigs
+with its probe and residual recheck, and the scoring) in _solver_pool,
+forked worker processes with OpenBLAS at one thread, at most one per usable
+core.  The replicate function itself is still called by name in a job
+thread of this process, which waits for the body's two floats without
+holding the GIL; only the point and the seeds go out, so a worker's result
+is the thread's, bit for bit.  Smaller points, one-task grids and threads=1
+run in the job threads.  A worker imports scipy.sparse.csgraph on its first
+phase replicate.  README, Solver processes, gives the measured grids.
+CPython 3.12 and later warn (DeprecationWarning) when a process that runs
+threads forks; OpenBLAS's idle threads count.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ import numpy as np
 
 from . import _validate
 from . import bounds as bounds_mod
-from . import spectral as spectral_mod
 from .detect import misclassification_rate, sign_partition
 from .models import ER, PlantedPartition, _open_text, expected_matrix, sample
 from .regularize import (
@@ -216,6 +216,10 @@ def _grid_points(config):
 def _concentration_replicate(point, sample_seed, solver_seed):
     """One sampled graph -> (deviation norm, tau used); the norm is nan where
     the solver does not converge, and tau is nan outside tau-laplacian."""
+    return _offload(_concentration_body, point, sample_seed, solver_seed)
+
+
+def _concentration_body(point, sample_seed, solver_seed):
     g, labels = sample(point["spec"], point["n"], sample_seed)
     E = expected_matrix(point["spec"], labels)
     tau = math.nan
@@ -325,7 +329,7 @@ def _worker_init(parent):
 
 
 class _SolverPool:
-    """The forked worker processes that grids send their ARPACK calls to.
+    """The forked worker processes that grids send their replicate bodies to.
 
     One pool serves every grid and persists between them; it is created, or
     enlarged, only while no grid uses it.  Its workers fork from the thread
@@ -386,6 +390,23 @@ class _SolverPool:
 
 
 _solver_pool = _SolverPool()
+# A job thread of _run_grid carries its grid's process pool, or None, as
+# _grid_thread.pool (see _carry).
+_grid_thread = threading.local()
+# Points with fewer nodes run their replicates in the job thread.  A warm
+# pool wins from n = 300 up, but a process's first pooled grid forks the
+# pool, about 0.15 s, more than a small grid gains (README, Solver processes).
+_POOL_MIN_N = 1000
+
+
+def _offload(body, point, sample_seed, solver_seed):
+    """body(point, sample_seed, solver_seed), in a solver worker process when
+    the calling job thread carries a pool and point["n"] >= _POOL_MIN_N.
+    body is a module-level function, so that it pickles by reference."""
+    pool = getattr(_grid_thread, "pool", None)
+    if pool is None or point["n"] < _POOL_MIN_N:
+        return body(point, sample_seed, solver_seed)
+    return pool.submit(body, point, sample_seed, solver_seed).result()
 
 
 def _run_grid(points, R, seed, replicate_fn, threads=None):
@@ -396,7 +417,8 @@ def _run_grid(points, R, seed, replicate_fn, threads=None):
     threads is None (one worker per usable core) or an integer >= 1.  BLAS
     stays at one thread for the whole grid, whatever the pool size.  With two
     workers or more, two tasks or more and a point of n >= _POOL_MIN_N, the
-    job threads send their ARPACK calls to _solver_pool (module docstring).
+    job threads carry _solver_pool, which the replicates send their bodies to
+    (module docstring).
     """
     if threads is not None:
         _validate.integer("threads", threads, 1)
@@ -418,7 +440,7 @@ def _run_grid(points, R, seed, replicate_fn, threads=None):
     tasks = [(gi, r) for gi in range(len(points)) for r in range(R)]
     workers = threads or _usable_cores()
     pooled = (workers > 1 and len(tasks) > 1 and
-              any(p.get("n", 0) >= spectral_mod._POOL_MIN_N for p in points))
+              any(p.get("n", 0) >= _POOL_MIN_N for p in points))
     solver_pool = _solver_pool(workers) if pooled else contextlib.nullcontext()
     # map raises the first failure and cancels the tasks still queued
     with solver_pool as procs, _single_threaded_blas, ThreadPoolExecutor(
@@ -428,8 +450,8 @@ def _run_grid(points, R, seed, replicate_fn, threads=None):
 
 
 def _carry(procs):
-    """Job thread set-up: where top_eigs sends this thread's ARPACK calls."""
-    spectral_mod._grid_thread.pool = procs
+    """Job thread set-up: where _offload sends this thread's replicates."""
+    _grid_thread.pool = procs
 
 
 def _mean_stderr(values):
@@ -574,6 +596,12 @@ PHASE_METHODS = ("reg-adjacency", "reg-laplacian")
 
 
 def _phase_replicate(point, sample_seed, solver_seed):
+    """One sampled graph -> (sign-rule accuracy, nan); nan where the solver
+    does not converge."""
+    return _offload(_phase_body, point, sample_seed, solver_seed)
+
+
+def _phase_body(point, sample_seed, solver_seed):
     # Budget: only the signs of the second eigenvector count.  A unit Ritz
     # vector with residual ||r|| lies within ||r|| / gap of the eigenvector
     # (Davis-Kahan sin theta; Parlett, The Symmetric Eigenvalue Problem), and
@@ -646,6 +674,12 @@ def phase_sweep(d, snr_grid, n=4000, R=50, method="both", tau_rho=0.25,
 # ---------------------------------------------------------------------------
 
 def _scorecard_replicate(point, sample_seed, solver_seed):
+    """One sampled graph -> (deviation norm, Seginer statistic); both nan
+    where the solver does not converge."""
+    return _offload(_scorecard_body, point, sample_seed, solver_seed)
+
+
+def _scorecard_body(point, sample_seed, solver_seed):
     g, labels = sample(point["spec"], point["n"], sample_seed)
     E = expected_matrix(point["spec"], labels)
     op = SymmetricOperator.centered(g, E)

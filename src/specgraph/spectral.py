@@ -14,15 +14,11 @@ the terms on each of its hundreds of matvecs.
 
 Solver: ARPACK's implicitly restarted Lanczos for top-k eigenpairs, which
 spectral_norm reads as the largest-magnitude eigenvalue, with a dense
-cyclic-Jacobi oracle for testing (independent of LAPACK).  Inside an
-experiment grid the ARPACK call itself may run in a worker process (see
-_grid_thread); everything else about a solve stays in the calling thread.
+cyclic-Jacobi oracle for testing (independent of LAPACK).
 """
 
 from __future__ import annotations
 
-import functools
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -33,18 +29,6 @@ from . import _validate
 from .models import DENSE_LIMIT
 
 _DEFAULT_SEED = 0x5EEDED
-
-# A job thread of experiments._run_grid carries the grid's process pool as
-# _grid_thread.pool, and top_eigs sends its ARPACK call there: ARPACK's
-# Lanczos steps hold the GIL, so threads alone cannot run two solves at once.
-_grid_thread = threading.local()
-# Operators with fewer rows are solved in the thread: there, shipping the
-# operator and the pairs costs more than the overlap gains.  Plain ER d = 2
-# grids at two workers on 2 vCPUs, median of 5 alternating rounds, ran 277
-# against 177 replicates/s (in the thread against pooled) at n = 200, 163
-# against 139 at n = 500, 168 against 159 at n = 700, 135 against 187 at
-# n = 1000 and 106 against 177 at n = 2000.
-_POOL_MIN_N = 1000
 
 
 class NonConvergenceError(RuntimeError):
@@ -86,34 +70,6 @@ def _scaled_csr(S, sign, s):
     if sign != 1.0:
         data *= sign
     return sp.csr_matrix((data, S.indices, S.indptr), shape=S.shape)
-
-
-def _apply(n, folded, x):
-    """The matvec of an n x n operator from its folded form (see _fold); a
-    module-level function, so that a partial of it pickles."""
-    x = np.asarray(x, dtype=np.float64)
-    csr, diag, lowrank = folded
-    y = csr @ x if csr is not None else np.zeros(n)
-    # one scratch vector per call; no BLAS on n-vectors, whose threads
-    # would compete with ARPACK's (einsum runs numpy's own loop)
-    tmp = np.empty(n)
-    if diag is not None:
-        y += np.multiply(x, diag, out=tmp)
-    for u, c, B, sign in lowrank:
-        if c is None:
-            if u is None:
-                y += sign * B * x.sum()
-            else:
-                y += np.multiply(u, sign * B * np.einsum("i,i->", u, x), out=tmp)
-        else:
-            ux = x if u is None else np.multiply(u, x, out=tmp)
-            sums = np.bincount(c, weights=ux, minlength=len(B))
-            # sign is +-1: scaling the K-vector, not B, is exact
-            np.take(sign * (B @ sums), c, out=tmp)
-            if u is not None:
-                tmp *= u
-            y += tmp
-    return y
 
 
 class SymmetricOperator:
@@ -199,7 +155,29 @@ class SymmetricOperator:
         return self._folded
 
     def matvec(self, x):
-        return _apply(self.n, self._folded or self._fold(), x)
+        x = np.asarray(x, dtype=np.float64)
+        csr, diag, lowrank = self._folded or self._fold()
+        y = csr @ x if csr is not None else np.zeros(self.n)
+        # one scratch vector per call; no BLAS on n-vectors, whose threads
+        # would compete with ARPACK's (einsum runs numpy's own loop)
+        tmp = np.empty(self.n)
+        if diag is not None:
+            y += np.multiply(x, diag, out=tmp)
+        for u, c, B, sign in lowrank:
+            if c is None:
+                if u is None:
+                    y += sign * B * x.sum()
+                else:
+                    y += np.multiply(u, sign * B * np.einsum("i,i->", u, x), out=tmp)
+            else:
+                ux = x if u is None else np.multiply(u, x, out=tmp)
+                sums = np.bincount(c, weights=ux, minlength=len(B))
+                # sign is +-1: scaling the K-vector, not B, is exact
+                np.take(sign * (B @ sums), c, out=tmp)
+                if u is not None:
+                    tmp *= u
+                y += tmp
+        return y
 
     def to_dense(self):
         """Materialize the operator densely (independent code path from matvec)."""
@@ -237,24 +215,6 @@ def _ordered(vals, which):
     return np.argsort(-np.abs(vals), kind="stable")
 
 
-def _arpack(n, matvec, k, which, v0, ncv, tol, rng):
-    """eigsh's (values, vectors) for the n x n operator x -> matvec(x), or
-    (the values that converged, None) where ARPACK stops short.
-
-    rng is the generator after v0 was drawn: it supplies ARPACK's restart
-    vectors.  The arguments pickle when matvec does, so a grid's worker
-    process can run this with the same result as the calling thread.
-    """
-    # imported on first use (README, Start-up)
-    import scipy.sparse.linalg as spla
-
-    A = spla.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-    try:
-        return spla.eigsh(A, k, which=which, v0=v0, ncv=ncv, tol=tol, rng=rng)
-    except spla.ArpackNoConvergence as exc:
-        return np.asarray(exc.eigenvalues, dtype=np.float64), None
-
-
 def top_eigs(op, k, which="largest-algebraic", tol=1e-8, seed=None, max_basis=None):
     """Top-k eigenpairs of a SymmetricOperator.
 
@@ -262,9 +222,6 @@ def top_eigs(op, k, which="largest-algebraic", tol=1e-8, seed=None, max_basis=No
     The seed draws the start vector, and the same generator supplies every
     vector ARPACK draws on restart, so a seed fixes the result bit for bit.
     For k >= n - 1, which ARPACK refuses, the operator is densified instead.
-    In a grid's job thread with n >= _POOL_MIN_N, the ARPACK call runs in a
-    worker process on the folded operator, with the same result; the
-    residual recheck below stays in the calling thread.
 
     Args:
         op: SymmetricOperator.
@@ -302,20 +259,20 @@ def top_eigs(op, k, which="largest-algebraic", tol=1e-8, seed=None, max_basis=No
         # the zero operator: ARPACK rejects its zero residual vector
         vals, V = np.zeros(k), np.eye(n, k)
     else:
+        # imported on first use (README, Start-up)
+        import scipy.sparse.linalg as spla
+
         ncv = None if max_basis is None else min(n, max(k + 1, int(max_basis)))
-        args = (k, _WHICH[which], v0, ncv, tol, rng)
-        pool = getattr(_grid_thread, "pool", None)
-        if pool is not None and n >= _POOL_MIN_N:
-            # the probe above folded op
-            matvec = functools.partial(_apply, n, op._folded)
-            vals, V = pool.submit(_arpack, n, matvec, *args).result()
-        else:
-            vals, V = _arpack(n, op.matvec, *args)
-        if V is None:
-            best = float(vals[_ordered(vals, which)[0]]) if len(vals) else None
+        A = spla.LinearOperator((n, n), matvec=op.matvec, dtype=np.float64)
+        try:
+            vals, V = spla.eigsh(A, k, which=_WHICH[which], v0=v0, ncv=ncv,
+                                 tol=tol, rng=rng)
+        except spla.ArpackNoConvergence as exc:
+            done = np.asarray(exc.eigenvalues, dtype=np.float64)
+            best = float(done[_ordered(done, which)[0]]) if len(done) else None
             raise NonConvergenceError(
-                f"ARPACK did not converge: {len(vals)} of {k} pairs "
-                f"reached tolerance {tol}", best_estimate=best)
+                f"ARPACK did not converge: {len(done)} of {k} pairs "
+                f"reached tolerance {tol}", best_estimate=best) from exc
     order = _ordered(vals, which)[:k]
     pairs = [EigenPair(float(vals[i]), V[:, i]) for i in order]
     for value, vector in pairs:

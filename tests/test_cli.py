@@ -660,7 +660,7 @@ def test_solver_subpackages_load_on_first_use(tmp_path):
         ["reg", "--in", g, "--mode", "cap", "--out", str(tmp_path / "capped.tsv")],
         ["detect", "--in", g, "--method", "top-k-embedding", "--truth", g + ".labels"],
     ) == [[0, []], [0, []], [0, []], [0, [linalg, csgraph, cluster]]]
-    # below spectral._POOL_MIN_N a grid solves in its threads
+    # below experiments._POOL_MIN_N a grid runs its replicates in its threads
     assert _start_up(
         tmp_path, ["phase", "--d", "4", "--snr", "0,4", "--n", "60", "--R", "2",
                    "--seed", "0", "--threads", "2"],

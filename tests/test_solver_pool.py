@@ -1,8 +1,9 @@
-"""Grid eigensolves on forked worker processes (experiments._SolverPool).
+"""Grid replicates on forked worker processes (experiments._SolverPool).
 
-A grid with two workers or more, two tasks or more and a point of
-n >= spectral._POOL_MIN_N sends each ARPACK call to a worker process; the
-replicates themselves, the probe and the residual recheck stay in the parent.
+In a grid with two workers or more, two tasks or more and a point of
+n >= experiments._POOL_MIN_N, each replicate at such a point sends its whole
+body to a worker process; the replicate function itself is still called in
+the parent, which gets back two floats.
 """
 
 import concurrent.futures
@@ -16,22 +17,22 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 import specgraph
-from specgraph import experiments, spectral
+from specgraph import experiments
 from specgraph.experiments import (
     ExperimentConfig,
     bound_scorecard,
     measure_concentration,
     phase_sweep,
 )
-from specgraph.models import ER, expected_matrix, sample
-from specgraph.spectral import NonConvergenceError, SymmetricOperator, top_eigs
+from specgraph.models import sample
 
 PYTEST_PID = os.getpid()
-N = 1200  # above spectral._POOL_MIN_N
+N = 1200  # above experiments._POOL_MIN_N
 
 
 @pytest.fixture
@@ -86,12 +87,14 @@ def grid(name, threads):
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pooled_grid_bytes_match_in_thread_and_pinned(name, submitted):
-    solves = {"scorecard": 4, "phase": 8}.get(name, 6)
+    body, replicates = {"scorecard": ("_scorecard_body", 4),
+                        "phase": ("_phase_body", 8)}.get(
+                            name, ("_concentration_body", 6))
     for threads in (1, 2, 3):
         submitted.clear()
         assert sha(grid(name, threads)) == PINNED[name], threads
-        pooled = submitted.count("_arpack")
-        assert pooled == (0 if threads == 1 else solves), (threads, submitted)
+        pooled = submitted.count(body)
+        assert pooled == (0 if threads == 1 else replicates), (threads, submitted)
 
 
 def test_pooled_replicates_run_in_the_calling_process(monkeypatch, submitted):
@@ -111,7 +114,28 @@ def test_pooled_replicates_run_in_the_calling_process(monkeypatch, submitted):
     measure_concentration(cfg, threads=2)
     phase_sweep(6.0, (0.0, 5.0), n=N, R=3, seed=1, threads=2)
     assert seen == [os.getpid()] * (2 * 4 + 4 * 3)
-    assert submitted.count("_arpack") == len(seen)
+    assert (submitted.count("_concentration_body"),
+            submitted.count("_phase_body")) == (2 * 4, 4 * 3)
+
+
+def test_pooled_replicate_bodies_leave_the_parent(monkeypatch, fresh_pool):
+    # the workers fork after this patch and inherit the spy, but what it
+    # records there stays in the worker
+    calls = []
+
+    def spy(*args):
+        calls.append(os.getpid())
+        return sample(*args)
+
+    monkeypatch.setattr(experiments, "sample", spy)
+    cfg = ExperimentConfig(model="er", n_grid=(N,), d_grid=(2.0, 4.0), R=3,
+                           seed=4)
+    runs = [(measure_concentration(cfg, threads=threads).to_csv(),
+             phase_sweep(6.0, (0.0, 5.0), n=N, R=2, seed=4,
+                         threads=threads).to_csv())
+            for threads in (2, 1)]
+    assert calls == [os.getpid()] * (2 * 3 + 4 * 2)  # all from threads=1
+    assert runs[0] == runs[1]
 
 
 def test_overlapping_pooled_grids_share_the_pool(fresh_pool, submitted):
@@ -131,22 +155,23 @@ def test_overlapping_pooled_grids_share_the_pool(fresh_pool, submitted):
         caller.join(120)
     assert results == [measure_concentration(cfg, threads=1).to_csv()
                        for cfg in configs]
-    assert submitted.count("int") == 1 and submitted.count("_arpack") == 12
+    assert (submitted.count("int"),
+            submitted.count("_concentration_body")) == (1, 12)
 
 
 def test_small_solves_stay_in_the_thread(submitted):
-    cfg = ExperimentConfig(model="er", n_grid=(spectral._POOL_MIN_N - 1,),
+    cfg = ExperimentConfig(model="er", n_grid=(experiments._POOL_MIN_N - 1,),
                            d_grid=(2.0,), R=4, seed=1)
     measure_concentration(cfg, threads=2)
     # a one-task grid stays in the thread at any n
     cfg = ExperimentConfig(model="er", n_grid=(N,), d_grid=(2.0,), R=1, seed=1)
     measure_concentration(cfg, threads=2)
     assert submitted == []
-    # in a pooled grid, only the points at n >= _POOL_MIN_N send their solves
-    cfg = ExperimentConfig(model="er", n_grid=(spectral._POOL_MIN_N - 1, N),
+    # in a pooled grid, only the points at n >= _POOL_MIN_N send their bodies
+    cfg = ExperimentConfig(model="er", n_grid=(experiments._POOL_MIN_N - 1, N),
                            d_grid=(2.0,), R=3, seed=1)
     measure_concentration(cfg, threads=2)
-    assert submitted.count("_arpack") == 3
+    assert submitted.count("_concentration_body") == 3
 
 
 def test_worker_nonconvergence_is_a_failed_replicate(monkeypatch, fresh_pool,
@@ -159,33 +184,32 @@ def test_worker_nonconvergence_is_a_failed_replicate(monkeypatch, fresh_pool,
     serial = measure_concentration(cfg, threads=1).to_csv()
     assert "solver_failures" in serial
     assert measure_concentration(cfg, threads=2).to_csv() == serial
-    assert submitted.count("_arpack") == 6
+    assert submitted.count("_concentration_body") == 6
 
-    # the same error as in the thread, from a job thread's pool
-    g, labels = sample(ER(4.0 / N), N, 0)
-    op = SymmetricOperator.centered(g, expected_matrix(ER(4.0 / N), labels))
-    errors = []
+    # one replicate at a time, in this thread and through a job thread's pool
+    point = experiments._grid_points(cfg)[1]
+    values = []
     for pool in (None, fresh_pool._pool):
-        spectral._grid_thread.pool = pool
+        experiments._grid_thread.pool = pool
         try:
-            with pytest.raises(NonConvergenceError) as err:
-                top_eigs(op, 3, which="largest-magnitude", tol=1e-10, seed=0)
+            values.append([experiments._concentration_replicate(
+                point, [2, 1, r, 0], [2, 1, r, 1]) for r in range(3)])
         finally:
-            spectral._grid_thread.pool = None
-        errors.append((str(err.value), err.value.best_estimate))
-    assert errors[0] == errors[1]
-    assert submitted.count("_arpack") == 7
+            experiments._grid_thread.pool = None
+    assert np.isnan(values[0]).any()
+    assert np.array_equal(values[0], values[1], equal_nan=True)
+    assert submitted.count("_concentration_body") == 9
 
 
 class WorkerFailure(Exception):
     pass
 
 
-def _raise_in_worker(*args):
+def _raise_in_worker(*args, **kwargs):
     raise WorkerFailure(os.getpid())
 
 
-def _exit_in_worker(*args):
+def _exit_in_worker(*args, **kwargs):
     if os.getpid() == PYTEST_PID:
         raise AssertionError("expected to run in a worker process")
     os._exit(3)
@@ -193,7 +217,8 @@ def _exit_in_worker(*args):
 
 def test_worker_exception_reaches_the_grid_with_its_type(monkeypatch,
                                                          fresh_pool):
-    monkeypatch.setattr(spectral, "_arpack", _raise_in_worker)
+    # the workers fork after this patch and inherit it
+    monkeypatch.setattr(spla, "eigsh", _raise_in_worker)
     cfg = ExperimentConfig(model="er", n_grid=(N,), d_grid=(2.0,), R=2, seed=1)
     with pytest.raises(WorkerFailure) as err:
         measure_concentration(cfg, threads=2)
@@ -222,7 +247,7 @@ def test_dead_worker_stops_the_grid_and_the_next_grid_replaces_it(
         monkeypatch, fresh_pool):
     cfg = ExperimentConfig(model="er", n_grid=(N,), d_grid=(2.0,), R=4, seed=1)
     with monkeypatch.context() as m:
-        m.setattr(spectral, "_arpack", _exit_in_worker)
+        m.setattr(spla, "eigsh", _exit_in_worker)
         exc = run_with_deadline(lambda: measure_concentration(cfg, threads=2))
     assert isinstance(exc, concurrent.futures.process.BrokenProcessPool)
     assert "worker process ended abruptly" in str(exc)
