@@ -24,17 +24,19 @@ fig-eigvec) keep OpenBLAS's own setting.
 Solver processes: the pool's threads share the GIL and overlap only in
 native code that releases it.  numpy's array operations and scipy's CSR
 product do; ARPACK's Lanczos steps (dsaupd) and the Python around every
-stage of a replicate do not.  So in a grid with two workers or more, two
-tasks or more and a point of n >= _POOL_MIN_N, each replicate at such a
-point runs its whole body (sampling, regularization, the operator, top_eigs
-with its probe and residual recheck, and the scoring) in _solver_pool,
-forked worker processes with OpenBLAS at one thread, at most one per usable
-core.  The replicate function itself is still called by name in a job
-thread of this process, which waits for the body's two floats without
-holding the GIL; only the point and the seeds go out, so a worker's result
-is the thread's, bit for bit.  Smaller points, one-task grids and threads=1
-run in the job threads.  A worker imports scipy.sparse.csgraph on its first
-phase replicate.  README, Solver processes, gives the measured grids.
+stage of a replicate do not.  So one rule, decided once per grid, sends
+replicates to processes: a grid pools when min(threads, usable cores) >= 2,
+it has two tasks or more and a point of n >= _POOL_MIN_N.  Then every
+replicate of the grid runs its whole body (sampling, regularization, the
+operator, top_eigs with its probe and residual recheck, and the scoring) in
+the solver pool of _running_grids: forked worker processes, at most one per
+usable core, that inherit OpenBLAS at one thread.  The replicate function
+itself is still called by name in a job thread of this process, which waits
+for the body's two floats without holding the GIL; only the point and the
+seeds go out, so a worker's result is the thread's, bit for bit.  Every
+other grid runs its replicates in its job threads.  A worker imports
+scipy.sparse.csgraph on its first phase replicate.  README, Solver
+processes, gives the measured grids.
 CPython 3.12 and later warn (DeprecationWarning) when a process that runs
 threads forks; OpenBLAS's idle threads count.
 """
@@ -274,37 +276,6 @@ def _openblas_controls():
     return tuple(controls)
 
 
-class _SingleThreadedBlas:
-    """Holds every OpenBLAS of _openblas_controls at one thread while entered.
-
-    Grids may overlap in different user threads: the first one in saves the
-    counts and pins them, the last one out restores them.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._restore = ()
-
-    def __enter__(self):
-        with self._lock:
-            if self._depth == 0:
-                self._restore = [(put, get()) for get, put in _openblas_controls()]
-                for put, _ in self._restore:
-                    put(1)
-            self._depth += 1
-
-    def __exit__(self, *exc_info):
-        with self._lock:
-            self._depth -= 1
-            if self._depth == 0:
-                for put, count in self._restore:
-                    put(count)
-
-
-_single_threaded_blas = _SingleThreadedBlas()
-
-
 def _usable_cores():
     """The cores this process may run on (its affinity set, where known)."""
     if hasattr(os, "sched_getaffinity"):
@@ -313,13 +284,10 @@ def _usable_cores():
 
 
 def _worker_init(parent):
-    """Set-up of a solver worker process: OpenBLAS at one thread, as in the
-    grid's threads, and exit soon after the parent is gone.  A killed parent
-    cannot shut its pool down, and each worker inherits the write end of the
-    pipe it reads its tasks from, so it would never read an end of file."""
-    for _, put in _openblas_controls():
-        put(1)
-
+    """Set-up of a solver worker process: exit soon after the parent is gone.
+    A killed parent cannot shut its pool down, and each worker inherits the
+    write end of the pipe it reads its tasks from, so it would never read an
+    end of file."""
     def watch():
         while os.getppid() == parent:
             time.sleep(0.5)
@@ -328,60 +296,74 @@ def _worker_init(parent):
     threading.Thread(target=watch, daemon=True).start()
 
 
-class _SolverPool:
-    """The forked worker processes that grids send their replicate bodies to.
+class _RunningGrids:
+    """What running grids share: the OpenBLAS pin and the solver pool.
 
-    One pool serves every grid and persists between them; it is created, or
-    enlarged, only while no grid uses it.  Its workers fork from the thread
-    that calls in, before that grid starts its own threads, and the pool is
-    shut down and joined at interpreter exit.
+    Grids may overlap in different user threads.  One lock guards one count
+    of running grids: the first grid in saves the counts of every OpenBLAS
+    of _openblas_controls and pins them to one thread, and the last one out
+    restores them.  The forked worker processes that pooled grids send their
+    replicate bodies to persist between grids.  The pool is created, or
+    enlarged, only while no other grid runs, so no grid's threads are alive
+    when it forks, and always after the pin, so its workers inherit OpenBLAS
+    at one thread.  It is shut down and joined at interpreter exit.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
+        self._count = 0
+        self._restore = ()
         self._pool = None
         self._size = 0
-        self._users = 0
         # while concurrent.futures can still release the pool quietly
         atexit.register(self._close)
 
     @contextlib.contextmanager
     def __call__(self, size):
-        """Yield the pool, with min(size, usable cores) workers unless a
-        running grid holds a smaller one.  A worker that dies stops the grid
-        with BrokenProcessPool, and the next grid gets a new pool."""
-        # imported on first use (README, Start-up); scipy.sparse.linalg
-        # before the fork, so that the workers inherit it
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
+        """Yield the solver pool if size >= 2, else None.  The pool has at
+        least size workers unless another grid was running when this one
+        came in; a pooled grid that then finds no pool keeps its replicates
+        in its threads.  A worker that dies stops the grid with
+        BrokenProcessPool, and the next grid gets a new pool."""
+        broken = ()  # no exception type: a grid without a pool cannot break it
+        if size > 1:
+            # imported on first use (README, Start-up); scipy.sparse.linalg
+            # before the fork, so that the workers inherit it
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool as broken
 
-        import scipy.sparse.linalg  # noqa: F401
-
-        size = min(size, _usable_cores())
-        with self._lock:
-            if self._pool is None or (self._size < size and not self._users):
-                self._close()
-                self._pool = ProcessPoolExecutor(
-                    size, mp_context=multiprocessing.get_context("fork"),
-                    initializer=_worker_init, initargs=(os.getpid(),))
-                self._size = size
-                self._pool.submit(int)  # forks every worker now, here
-            pool = self._pool
-            self._users += 1
+            import scipy.sparse.linalg  # noqa: F401
         try:
+            with self._lock:
+                self._count += 1
+                if self._count == 1:
+                    self._restore = [(put, get()) for get, put in _openblas_controls()]
+                    for put, _ in self._restore:
+                        put(1)
+                    if size > 1 and self._size < size:
+                        self._close()
+                        self._pool = ProcessPoolExecutor(
+                            size, mp_context=multiprocessing.get_context("fork"),
+                            initializer=_worker_init, initargs=(os.getpid(),))
+                        self._size = size
+                        self._pool.submit(int)  # forks every worker now, here
+                pool = self._pool if size > 1 else None
             yield pool
-        except BrokenProcessPool as exc:
+        except broken as exc:
             with self._lock:
                 if self._pool is pool:
-                    self._pool = None
+                    self._pool, self._size = None, 0
             pool.shutdown(wait=False)
-            raise BrokenProcessPool(
+            raise broken(
                 "an eigensolver worker process ended abruptly; the grid is "
                 "stopped, and the next grid starts new workers") from exc
         finally:
             with self._lock:
-                self._users -= 1
+                self._count -= 1
+                if not self._count:
+                    for put, count in self._restore:
+                        put(count)
 
     def _close(self):
         if self._pool is not None:
@@ -389,22 +371,23 @@ class _SolverPool:
             self._pool, self._size = None, 0
 
 
-_solver_pool = _SolverPool()
+_running_grids = _RunningGrids()
 # A job thread of _run_grid carries its grid's process pool, or None, as
 # _grid_thread.pool (see _carry).
 _grid_thread = threading.local()
-# Points with fewer nodes run their replicates in the job thread.  A warm
-# pool wins from n = 300 up, but a process's first pooled grid forks the
-# pool, about 0.15 s, more than a small grid gains (README, Solver processes).
+# A grid with fewer nodes at every point runs its replicates in its threads.
+# A warm pool wins from n = 300 up, but a process's first pooled grid forks
+# the pool, about 0.15 s, more than a small grid gains (README, Solver
+# processes).
 _POOL_MIN_N = 1000
 
 
 def _offload(body, point, sample_seed, solver_seed):
     """body(point, sample_seed, solver_seed), in a solver worker process when
-    the calling job thread carries a pool and point["n"] >= _POOL_MIN_N.
-    body is a module-level function, so that it pickles by reference."""
+    the calling job thread carries a pool.  body is a module-level function,
+    so that it pickles by reference."""
     pool = getattr(_grid_thread, "pool", None)
-    if pool is None or point["n"] < _POOL_MIN_N:
+    if pool is None:
         return body(point, sample_seed, solver_seed)
     return pool.submit(body, point, sample_seed, solver_seed).result()
 
@@ -415,10 +398,10 @@ def _run_grid(points, R, seed, replicate_fn, threads=None):
     [seed, gi, r, 0] and [seed, gi, r, 1], so output order is fixed.
 
     threads is None (one worker per usable core) or an integer >= 1.  BLAS
-    stays at one thread for the whole grid, whatever the pool size.  With two
-    workers or more, two tasks or more and a point of n >= _POOL_MIN_N, the
-    job threads carry _solver_pool, which the replicates send their bodies to
-    (module docstring).
+    stays at one thread for the whole grid, whatever the pool size.  A grid
+    pools when min(threads, usable cores) >= 2, it has two tasks or more and
+    a point of n >= _POOL_MIN_N; then its job threads carry the solver pool,
+    which the replicates send their bodies to (module docstring).
     """
     if threads is not None:
         _validate.integer("threads", threads, 1)
@@ -438,12 +421,12 @@ def _run_grid(points, R, seed, replicate_fn, threads=None):
             raise
 
     tasks = [(gi, r) for gi in range(len(points)) for r in range(R)]
-    workers = threads or _usable_cores()
-    pooled = (workers > 1 and len(tasks) > 1 and
-              any(p.get("n", 0) >= _POOL_MIN_N for p in points))
-    solver_pool = _solver_pool(workers) if pooled else contextlib.nullcontext()
+    cores = _usable_cores()
+    workers = threads or cores
+    pooled = len(tasks) > 1 and any(p.get("n", 0) >= _POOL_MIN_N for p in points)
+    size = min(workers, cores) if pooled else 1
     # map raises the first failure and cancels the tasks still queued
-    with solver_pool as procs, _single_threaded_blas, ThreadPoolExecutor(
+    with _running_grids(size) as procs, ThreadPoolExecutor(
             max_workers=workers, initializer=_carry, initargs=(procs,)) as pool:
         list(pool.map(job, tasks))
     return out[0], out[1]

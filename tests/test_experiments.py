@@ -397,16 +397,26 @@ def controls():
         put(count)
 
 
-def test_grid_pins_blas_to_one_thread(controls):
-    for threads in (1, 2):
+def _blas_counts_here():
+    return blas_counts(experiments._openblas_controls())
+
+
+def test_grid_pins_blas_to_one_thread(controls, fresh_grids):
+    # a pooled grid forks its workers after the pin, and they inherit it
+    big = {"n": experiments._POOL_MIN_N}
+    for points, threads in (([{}, {}], 1), ([{}, {}], 2), ([big, big], 2)):
         seen = []
 
         def replicate(point, sample_seed, solver_seed):
             seen.append(blas_counts(controls))
+            if experiments._grid_thread.pool is not None:
+                seen.append(experiments._grid_thread.pool.submit(
+                    _blas_counts_here).result())
             return 0.0, 0.0
 
-        experiments._run_grid([{}, {}], 3, 0, replicate, threads)
-        assert seen == [[1] * len(controls)] * 6
+        experiments._run_grid(points, 3, 0, replicate, threads)
+        # a pooled replicate reads the counts in the thread and the worker
+        assert seen == [[1] * len(controls)] * (12 if points[0] else 6)
         assert blas_counts(controls) == [2] * len(controls)
 
 
@@ -420,7 +430,8 @@ def test_grid_restores_blas_when_a_replicate_raises(controls):
         assert blas_counts(controls) == [2] * len(controls)
 
 
-def test_overlapping_grids_restore_blas_when_both_end(controls):
+def test_overlapping_grids_restore_blas_when_both_end(controls, fresh_grids,
+                                                      monkeypatch):
     inside, release = threading.Event(), threading.Event()
 
     def held(point, sample_seed, solver_seed):
@@ -428,17 +439,34 @@ def test_overlapping_grids_restore_blas_when_both_end(controls):
         release.wait(60)
         return 0.0, 0.0
 
-    first = threading.Thread(target=experiments._run_grid,
-                             args=([{}], 1, 0, held, 1))
-    first.start()
-    try:
-        assert inside.wait(60)
-        experiments._run_grid([{}], 2, 0, lambda *a: (0.0, 0.0), 2)
-        assert blas_counts(controls) == [1] * len(controls)  # first still runs
-    finally:
-        release.set()
-        first.join()
-    assert blas_counts(controls) == [2] * len(controls)
+    carried = []
+
+    def second(point, sample_seed, solver_seed):
+        carried.append(experiments._grid_thread.pool)
+        return 0.0, 0.0
+
+    # a pool of two workers, which a grid of three enlarges when none runs
+    monkeypatch.setattr(experiments, "_usable_cores", lambda: 4)
+    big = [{"n": experiments._POOL_MIN_N}]
+    experiments._run_grid(big, 2, 0, lambda *a: (0.0, 0.0), 2)
+    pool = fresh_grids._pool
+    for points in ([{}], big):  # the second grid unpooled, then pooled
+        inside.clear()
+        release.clear()
+        carried.clear()
+        first = threading.Thread(target=experiments._run_grid,
+                                 args=([{}], 1, 0, held, 1))
+        first.start()
+        try:
+            assert inside.wait(60)
+            experiments._run_grid(points, 2, 0, second, 3)
+            assert blas_counts(controls) == [1] * len(controls)  # first runs
+            assert (fresh_grids._pool, fresh_grids._size) == (pool, 2)
+        finally:
+            release.set()
+            first.join()
+        assert carried == [pool if points is big else None] * 2
+        assert blas_counts(controls) == [2] * len(controls)
 
 
 def test_grid_without_blas_controls_leaves_blas_alone(controls, monkeypatch):

@@ -1,9 +1,9 @@
-"""Grid replicates on forked worker processes (experiments._SolverPool).
+"""Grid replicates on forked worker processes (experiments._RunningGrids).
 
-In a grid with two workers or more, two tasks or more and a point of
-n >= experiments._POOL_MIN_N, each replicate at such a point sends its whole
-body to a worker process; the replicate function itself is still called in
-the parent, which gets back two floats.
+A grid pools when min(threads, usable cores) >= 2, it has two tasks or more
+and a point of n >= experiments._POOL_MIN_N; then each of its replicates
+sends its whole body to a worker process.  The replicate function itself is
+still called in the parent, which gets back two floats.
 """
 
 import concurrent.futures
@@ -33,16 +33,6 @@ from specgraph.models import sample
 
 PYTEST_PID = os.getpid()
 N = 1200  # above experiments._POOL_MIN_N
-
-
-@pytest.fixture
-def fresh_pool(monkeypatch):
-    """A solver pool of this test's own, forked after its monkeypatches;
-    closed at the end."""
-    pool = experiments._SolverPool()
-    monkeypatch.setattr(experiments, "_solver_pool", pool)
-    yield pool
-    pool._close()
 
 
 @pytest.fixture
@@ -118,7 +108,7 @@ def test_pooled_replicates_run_in_the_calling_process(monkeypatch, submitted):
             submitted.count("_phase_body")) == (2 * 4, 4 * 3)
 
 
-def test_pooled_replicate_bodies_leave_the_parent(monkeypatch, fresh_pool):
+def test_pooled_replicate_bodies_leave_the_parent(monkeypatch, fresh_grids):
     # the workers fork after this patch and inherit the spy, but what it
     # records there stays in the worker
     calls = []
@@ -138,7 +128,7 @@ def test_pooled_replicate_bodies_leave_the_parent(monkeypatch, fresh_pool):
     assert runs[0] == runs[1]
 
 
-def test_overlapping_pooled_grids_share_the_pool(fresh_pool, submitted):
+def test_overlapping_pooled_grids_share_the_pool(fresh_grids, submitted):
     # two callers' grids at once: the second one does not replace the pool
     # the first one is using, and both keep their bytes
     configs = [ExperimentConfig(model="er", n_grid=(N,), d_grid=(2.0,), R=6,
@@ -159,7 +149,7 @@ def test_overlapping_pooled_grids_share_the_pool(fresh_pool, submitted):
             submitted.count("_concentration_body")) == (1, 12)
 
 
-def test_small_solves_stay_in_the_thread(submitted):
+def test_pooled_grids_send_every_replicate(submitted):
     cfg = ExperimentConfig(model="er", n_grid=(experiments._POOL_MIN_N - 1,),
                            d_grid=(2.0,), R=4, seed=1)
     measure_concentration(cfg, threads=2)
@@ -167,14 +157,16 @@ def test_small_solves_stay_in_the_thread(submitted):
     cfg = ExperimentConfig(model="er", n_grid=(N,), d_grid=(2.0,), R=1, seed=1)
     measure_concentration(cfg, threads=2)
     assert submitted == []
-    # in a pooled grid, only the points at n >= _POOL_MIN_N send their bodies
+    # one point at n >= _POOL_MIN_N pools the grid, and then every replicate
+    # sends its body, the smaller point's too
     cfg = ExperimentConfig(model="er", n_grid=(experiments._POOL_MIN_N - 1, N),
                            d_grid=(2.0,), R=3, seed=1)
-    measure_concentration(cfg, threads=2)
-    assert submitted.count("_concentration_body") == 3
+    pooled = measure_concentration(cfg, threads=2).to_csv()
+    assert submitted.count("_concentration_body") == 6
+    assert pooled == measure_concentration(cfg, threads=1).to_csv()
 
 
-def test_worker_nonconvergence_is_a_failed_replicate(monkeypatch, fresh_pool,
+def test_worker_nonconvergence_is_a_failed_replicate(monkeypatch, fresh_grids,
                                                      submitted):
     # one restart is too few for most replicates; the workers fork after
     # this patch and inherit it
@@ -189,7 +181,7 @@ def test_worker_nonconvergence_is_a_failed_replicate(monkeypatch, fresh_pool,
     # one replicate at a time, in this thread and through a job thread's pool
     point = experiments._grid_points(cfg)[1]
     values = []
-    for pool in (None, fresh_pool._pool):
+    for pool in (None, fresh_grids._pool):
         experiments._grid_thread.pool = pool
         try:
             values.append([experiments._concentration_replicate(
@@ -216,7 +208,7 @@ def _exit_in_worker(*args, **kwargs):
 
 
 def test_worker_exception_reaches_the_grid_with_its_type(monkeypatch,
-                                                         fresh_pool):
+                                                         fresh_grids):
     # the workers fork after this patch and inherit it
     monkeypatch.setattr(spla, "eigsh", _raise_in_worker)
     cfg = ExperimentConfig(model="er", n_grid=(N,), d_grid=(2.0,), R=2, seed=1)
@@ -244,20 +236,20 @@ def run_with_deadline(fn, seconds=60):
 
 
 def test_dead_worker_stops_the_grid_and_the_next_grid_replaces_it(
-        monkeypatch, fresh_pool):
+        monkeypatch, fresh_grids):
     cfg = ExperimentConfig(model="er", n_grid=(N,), d_grid=(2.0,), R=4, seed=1)
     with monkeypatch.context() as m:
         m.setattr(spla, "eigsh", _exit_in_worker)
         exc = run_with_deadline(lambda: measure_concentration(cfg, threads=2))
     assert isinstance(exc, concurrent.futures.process.BrokenProcessPool)
     assert "worker process ended abruptly" in str(exc)
-    assert fresh_pool._pool is None
+    assert fresh_grids._pool is None
     pooled = measure_concentration(cfg, threads=2).to_csv()
-    assert fresh_pool._pool is not None
+    assert fresh_grids._pool is not None
     assert pooled == measure_concentration(cfg, threads=1).to_csv()
 
 
-def test_pool_size_follows_the_usable_cores(monkeypatch, fresh_pool):
+def test_pool_size_follows_the_usable_cores(monkeypatch, fresh_grids):
     sizes = []
 
     class Spy(concurrent.futures.ProcessPoolExecutor):
@@ -267,16 +259,17 @@ def test_pool_size_follows_the_usable_cores(monkeypatch, fresh_pool):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
     cfg = ExperimentConfig(model="er", n_grid=(N,), d_grid=(2.0,), R=2, seed=1)
-    measure_concentration(cfg, threads=64)
+    pooled = measure_concentration(cfg, threads=64).to_csv()
     cores = len(os.sched_getaffinity(0))
     assert sizes == [min(64, cores)]
-    fresh_pool._close()
-    # the default thread count is the affinity set, not os.cpu_count(): on
-    # one usable core a grid runs one worker and no pool
+    fresh_grids._close()
+    # the default thread count is the affinity set, not os.cpu_count(), and
+    # on one usable core a grid forks no pool, whatever its threads
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    measure_concentration(cfg)
-    assert sizes == [min(64, cores)] and fresh_pool._pool is None
+    for threads in (None, 2):
+        assert measure_concentration(cfg, threads).to_csv() == pooled
+    assert sizes == [min(64, cores)] and fresh_grids._pool is None
 
 
 def _cli_env():
