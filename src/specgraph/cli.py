@@ -112,21 +112,28 @@ def _cmd_gen(args):
     return 0
 
 
+def _mean_degree(g, flag):
+    """g's mean degree, of which flag's default is a multiple."""
+    if not g.m:
+        raise ValueError(f"the graph has no edges, so there is no mean degree "
+                         f"for the default {flag}; pass {flag}")
+    return float(g.degrees().mean())
+
+
 def _cmd_reg(args):
     g = Graph.from_tsv(args.infile)
-    deg = g.degrees()
-    dbar = float(deg.mean()) if g.n else 0.0
     report = {"mode": args.mode, "n": g.n, "edges_in": g.m}
     if args.mode == "cap":
-        d_hat = args.d_hat if args.d_hat is not None else dbar
+        d_hat = args.d_hat if args.d_hat is not None else _mean_degree(g, "--d-hat")
         out, rep = degree_regularize(g, d_hat, args.cap_multiplier)
         report.update(json.loads(rep.to_json()))
         report["d_hat"] = d_hat
     elif args.mode == "remove":
-        threshold = args.threshold if args.threshold is not None else 2.0 * dbar
+        threshold = (args.threshold if args.threshold is not None
+                     else 2.0 * _mean_degree(g, "--threshold"))
         out = remove_high_degree(g, threshold)
         report["threshold"] = threshold
-        report["removed"] = int(np.sum(deg > threshold))
+        report["removed"] = int(np.sum(g.degrees() > threshold))
     else:  # tau; argparse's choices admit no other mode
         # rank-one shift is virtual: the graph passes through unchanged and
         # downstream consumers apply tau themselves
@@ -247,6 +254,8 @@ def build_parser():
         description="Random-graph sampling, regularization, spectral "
                     "community detection, and concentration experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
+    threads_help = ("worker processes for grids with an n >= 1000, at most and by "
+                    "default one per usable core; the CSV does not depend on it")
 
     p = sub.add_parser("gen", help="sample a graph and write TSV (+ labels)")
     p.add_argument("--model", default="er",
@@ -301,7 +310,7 @@ def build_parser():
     p.add_argument("--tau-rho", dest="tau_rho", type=float, default=0.25)
     p.add_argument("--cap-multiplier", type=float, default=2.0)
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help=threads_help)
     p.add_argument("--out", help="CSV path; stdout if omitted")
     p.set_defaults(fn=_cmd_sweep)
 
@@ -325,7 +334,7 @@ def build_parser():
     p.add_argument("--tau-rho", dest="tau_rho", type=float, default=0.25)
     p.add_argument("--cap-multiplier", type=float, default=2.0)
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help=threads_help)
     p.add_argument("--out", help="CSV path; stdout if omitted")
     p.set_defaults(fn=_cmd_phase)
 

@@ -13,32 +13,26 @@ sampling and one for the eigensolver.  Replicates land in
 preallocated slots keyed by those indices, and aggregation walks the slots in
 a fixed order, so results are byte-identical for any thread count.
 
-BLAS rule: a grid runs with every loaded OpenBLAS held at one thread, for any
-pool size, and the previous counts come back when it ends, so BLAS threads do
-not compete with the replicate pool for the cores.  The BLAS thread count
-sets the reduction order, which moves the last digits at n = 1e5, so pinning
-it also makes the CSV bytes independent of OPENBLAS_NUM_THREADS and the
-host's core count.  One-off solves outside a grid (the CLI's detect and
-fig-eigvec) keep OpenBLAS's own setting.
+BLAS rule: a grid runs with every loaded OpenBLAS held at one thread, and
+the previous counts come back when it ends, so BLAS threads do not compete
+with the grid's worker processes, or its one job thread, for the cores.  The
+BLAS thread count sets the reduction order, which moves the last digits at
+n = 1e5, so pinning it also makes the CSV bytes independent of
+OPENBLAS_NUM_THREADS and the host's core count.  One-off solves outside a
+grid (the CLI's detect and fig-eigvec) keep OpenBLAS's own setting.
 
-Solver processes: the pool's threads share the GIL and overlap only in
-native code that releases it.  numpy's array operations and scipy's CSR
-product do; ARPACK's Lanczos steps (dsaupd) and the Python around every
-stage of a replicate do not.  So one rule, decided once per grid, sends
-replicates to processes: a grid pools when min(threads, usable cores) >= 2,
-it has two tasks or more and a point of n >= _POOL_MIN_N.  Then every
-replicate of the grid runs its whole body (sampling, regularization, the
-operator, top_eigs with its probe and residual recheck, and the scoring) in
-the solver pool of _running_grids: forked worker processes, at most one per
-usable core, that inherit OpenBLAS at one thread.  The replicate function
-itself is still called by name in a job thread of this process, which waits
-for the body's two floats without holding the GIL; only the point and the
-seeds go out, so a worker's result is the thread's, bit for bit.  Every
-other grid runs its replicates in its job threads.  A worker imports
-scipy.sparse.csgraph on its first phase replicate.  README, Solver
-processes, gives the measured grids.
-CPython 3.12 and later warn (DeprecationWarning) when a process that runs
-threads forks; OpenBLAS's idle threads count.
+Solver processes: a grid pools when min(threads, usable cores) >= 2, it has
+two tasks or more and a point of n >= _POOL_MIN_N.  Then each replicate's
+whole body, sampling to scoring, runs in a forked worker process of
+_running_grids, at most one per usable core, with OpenBLAS at one thread.
+The replicate function is still called by name, on one job thread per worker
+process, which waits for the body's two floats without holding the GIL;
+they are the serial ones, bit for bit.  Every other grid runs one replicate
+at a time on one job thread: ARPACK's Lanczos steps (dsaupd) and the Python
+around them hold the GIL, so two threads of one process ran slower than one
+(README, Solver processes).  A worker imports scipy.sparse.csgraph on its
+first phase replicate.  CPython 3.12 and later warn (DeprecationWarning)
+when a process that runs threads forks; OpenBLAS's idle threads count.
 """
 
 from __future__ import annotations
@@ -300,13 +294,12 @@ class _RunningGrids:
     """What running grids share: the OpenBLAS pin and the solver pool.
 
     Grids may overlap in different user threads.  One lock guards one count
-    of running grids: the first grid in saves the counts of every OpenBLAS
-    of _openblas_controls and pins them to one thread, and the last one out
-    restores them.  The forked worker processes that pooled grids send their
-    replicate bodies to persist between grids.  The pool is created, or
-    enlarged, only while no other grid runs, so no grid's threads are alive
-    when it forks, and always after the pin, so its workers inherit OpenBLAS
-    at one thread.  It is shut down and joined at interpreter exit.
+    of running grids: the first grid in pins every OpenBLAS of
+    _openblas_controls to one thread, and the last one out restores the
+    counts.  The forked worker processes persist between grids.  The pool is
+    created, or enlarged, only while no other grid runs, so no grid's
+    threads are alive when it forks, and always after the pin, so its
+    workers inherit OpenBLAS at one thread.  It is joined at exit.
     """
 
     def __init__(self):
@@ -322,8 +315,8 @@ class _RunningGrids:
     def __call__(self, size):
         """Yield the solver pool if size >= 2, else None.  The pool has at
         least size workers unless another grid was running when this one
-        came in; a pooled grid that then finds no pool keeps its replicates
-        in its threads.  A worker that dies stops the grid with
+        came in; a pooled grid that then finds no pool runs one replicate at
+        a time.  A worker that dies stops the grid with
         BrokenProcessPool, and the next grid gets a new pool."""
         broken = ()  # no exception type: a grid without a pool cannot break it
         if size > 1:
@@ -372,13 +365,11 @@ class _RunningGrids:
 
 
 _running_grids = _RunningGrids()
-# A job thread of _run_grid carries its grid's process pool, or None, as
-# _grid_thread.pool (see _carry).
+# _grid_thread.pool: the process pool of a job thread's grid, or None (_carry)
 _grid_thread = threading.local()
-# A grid with fewer nodes at every point runs its replicates in its threads.
-# A warm pool wins from n = 300 up, but a process's first pooled grid forks
-# the pool, about 0.15 s, more than a small grid gains (README, Solver
-# processes).
+# A pooled grid needs a point of at least this n.  Against serial runs a warm
+# pool of two workers won most rounds from n = 300 up, and all but one from
+# n = 1000 (README, Solver processes).
 _POOL_MIN_N = 1000
 
 
@@ -394,19 +385,16 @@ def _offload(body, point, sample_seed, solver_seed):
 
 def _run_grid(points, R, seed, replicate_fn, threads=None):
     """Two (points x R) arrays of replicate_fn(point, sample_seed,
-    solver_seed) pairs, filled in parallel; slot [gi, r] uses the seeds
-    [seed, gi, r, 0] and [seed, gi, r, 1], so output order is fixed.
+    solver_seed) pairs; slot [gi, r] uses the seeds [seed, gi, r, 0] and
+    [seed, gi, r, 1], so output order is fixed.
 
-    threads is None (one worker per usable core) or an integer >= 1.  BLAS
-    stays at one thread for the whole grid, whatever the pool size.  A grid
-    pools when min(threads, usable cores) >= 2, it has two tasks or more and
-    a point of n >= _POOL_MIN_N; then its job threads carry the solver pool,
-    which the replicates send their bodies to (module docstring).
+    threads is None (one per usable core) or an integer >= 1: the worker
+    processes of a pooled grid (module docstring), capped at the usable
+    cores.  A pooled grid has one job thread per worker, any other grid one.
     """
     if threads is not None:
         _validate.integer("threads", threads, 1)
     out = np.full((2, len(points), R), np.nan)
-
     failed = threading.Event()
 
     def job(task):
@@ -422,12 +410,12 @@ def _run_grid(points, R, seed, replicate_fn, threads=None):
 
     tasks = [(gi, r) for gi in range(len(points)) for r in range(R)]
     cores = _usable_cores()
-    workers = threads or cores
     pooled = len(tasks) > 1 and any(p.get("n", 0) >= _POOL_MIN_N for p in points)
-    size = min(workers, cores) if pooled else 1
+    size = min(threads or cores, cores) if pooled else 1
     # map raises the first failure and cancels the tasks still queued
     with _running_grids(size) as procs, ThreadPoolExecutor(
-            max_workers=workers, initializer=_carry, initargs=(procs,)) as pool:
+            max_workers=size if procs else 1, initializer=_carry,
+            initargs=(procs,)) as pool:
         list(pool.map(job, tasks))
     return out[0], out[1]
 
@@ -473,6 +461,7 @@ def measure_concentration(config, threads=None):
     ratio to every applicable closed-form bound at C = 1.  A replicate fails
     only when its solver does not converge: it is left out of every average,
     the tau row's included, and counted in a solver_failures row.
+    threads: worker processes for grids with an n >= 1000 (_run_grid).
     """
     points = _grid_points(config)
     seed = config.seed
@@ -618,6 +607,7 @@ def phase_sweep(d, snr_grid, n=4000, R=50, method="both", tau_rho=0.25,
     recorded and skipped.  Methods: sign rule on the second-largest
     eigenvector of the degree-capped adjacency (cap 2a), and of the
     tau-regularized Laplacian with tau = tau_rho * mean degree.
+    threads: worker processes for grids with an n >= 1000 (_run_grid).
     """
     if method not in ("both", *PHASE_METHODS):
         raise ValueError(f"method must be 'both' or one of {PHASE_METHODS}")
@@ -678,6 +668,7 @@ def bound_scorecard(n_grid, d_grid, R=20, seed=0, threads=None):
 
     Per grid point: the measured norm, the Seginer max-column statistic, each
     bound's value, and the empirical/bound ratio.
+    threads: worker processes for grids with an n >= 1000 (_run_grid).
     """
     config = ExperimentConfig(model="er", n_grid=n_grid, d_grid=d_grid, R=R,
                               seed=seed)

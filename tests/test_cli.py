@@ -190,10 +190,22 @@ def test_reg_tau_reports_and_passes_graph_through(tmp_path, capsys):
     assert report["rho"] == 0.5
 
 
-def test_reg_missing_file(capsys):
+def test_reg_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "reg", "--in", "/nonexistent/g.tsv",
                        "--mode", "cap", "--d-hat", "3")
     assert code == 2
+    # an edgeless graph has no mean degree for the defaults to scale; the
+    # error used to name d_hat or threshold at 0.0, which no one passed
+    src = tmp_path / "e.tsv"
+    src.write_text("# n=5\n")
+    for mode, flag in (("cap", "--d-hat"), ("remove", "--threshold")):
+        code, out, err = run(capsys, "reg", "--in", str(src), "--mode", mode)
+        assert (code, out) == (2, ""), mode
+        assert err == (f"error: the graph has no edges, so there is no mean "
+                       f"degree for the default {flag}; pass {flag}\n")
+        code, out, _ = run(capsys, "reg", "--in", str(src), "--mode", mode,
+                           flag, "1")
+        assert (code, out) == (0, "# n=5\n"), mode
 
 
 @pytest.mark.parametrize("argv", [

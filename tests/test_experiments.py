@@ -439,21 +439,23 @@ def test_overlapping_grids_restore_blas_when_both_end(controls, fresh_grids,
         release.wait(60)
         return 0.0, 0.0
 
-    carried = []
+    carried, idents = [], set()
 
     def second(point, sample_seed, solver_seed):
         carried.append(experiments._grid_thread.pool)
+        idents.add(threading.get_ident())
+        time.sleep(0.02)  # keeps a job thread busy while the next task queues
         return 0.0, 0.0
 
-    # a pool of two workers, which a grid of three enlarges when none runs
     monkeypatch.setattr(experiments, "_usable_cores", lambda: 4)
     big = [{"n": experiments._POOL_MIN_N}]
-    experiments._run_grid(big, 2, 0, lambda *a: (0.0, 0.0), 2)
-    pool = fresh_grids._pool
-    for points in ([{}], big):  # the second grid unpooled, then pooled
+    pool = None
+    # the second grid pooled before any pool exists, unpooled, then pooled
+    for points in (big, [{}], big):
         inside.clear()
         release.clear()
         carried.clear()
+        idents.clear()
         first = threading.Thread(target=experiments._run_grid,
                                  args=([{}], 1, 0, held, 1))
         first.start()
@@ -461,12 +463,18 @@ def test_overlapping_grids_restore_blas_when_both_end(controls, fresh_grids,
             assert inside.wait(60)
             experiments._run_grid(points, 2, 0, second, 3)
             assert blas_counts(controls) == [1] * len(controls)  # first runs
-            assert (fresh_grids._pool, fresh_grids._size) == (pool, 2)
+            assert (fresh_grids._pool, fresh_grids._size) == (pool, 2 if pool else 0)
         finally:
             release.set()
             first.join()
         assert carried == [pool if points is big else None] * 2
+        # a grid without a pool, one that found none included, has one job thread
+        assert len(idents) == 1 or (points is big and pool is not None), points
         assert blas_counts(controls) == [2] * len(controls)
+        if pool is None:
+            # a pool of two workers, which a grid of three enlarges when none runs
+            experiments._run_grid(big, 2, 0, lambda *a: (0.0, 0.0), 2)
+            pool = fresh_grids._pool
 
 
 def test_grid_without_blas_controls_leaves_blas_alone(controls, monkeypatch):
@@ -497,6 +505,30 @@ def test_grid_cancels_queued_replicates_after_one_raises():
             experiments._run_grid([{}], 200, 0, replicate, threads)
         assert 1 <= len(started) <= threads + 2, (threads, len(started))
         assert threading.main_thread() not in started
+
+
+def test_grid_job_threads_follow_its_worker_processes(monkeypatch,
+                                                      fresh_grids):
+    # threads counts worker processes: a grid without them runs one replicate
+    # at a time, off the main thread, and a pooled grid starts one job thread
+    # per worker, not one per requested thread
+    idents = []
+
+    def replicate(point, sample_seed, solver_seed):
+        idents.append(threading.get_ident())
+        time.sleep(0.01)  # keeps a job thread busy while the next task queues
+        return 0.0, 0.0
+
+    experiments._run_grid([{}, {}], 4, 0, replicate, 3)
+    assert len(set(idents)) == 1
+    assert threading.main_thread().ident not in idents
+    idents.clear()
+    monkeypatch.setattr(experiments, "_usable_cores", lambda: 2)
+    big = {"n": experiments._POOL_MIN_N}
+    experiments._run_grid([big, big], 4, 0, replicate, 64)
+    assert fresh_grids._size == 2
+    assert 1 <= len(set(idents)) <= 2
+    assert threading.main_thread().ident not in idents
 
 
 def test_grid_threads_validation():
