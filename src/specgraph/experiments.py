@@ -23,29 +23,34 @@ grid (the CLI's detect and fig-eigvec) keep OpenBLAS's own setting.
 
 Solver processes: a grid pools when min(threads, usable cores) >= 2, it has
 two tasks or more and a point of n >= _POOL_MIN_N.  Then each replicate's
-whole body, sampling to scoring, runs in a forked worker process of
-_running_grids, at most one per usable core, with OpenBLAS at one thread.
-The replicate function is still called by name, on one job thread per worker
-process, which waits for the body's two floats without holding the GIL;
-they are the serial ones, bit for bit.  Every other grid runs one replicate
-at a time on one job thread: ARPACK's Lanczos steps (dsaupd) and the Python
-around them hold the GIL, so two threads of one process ran slower than one
-(README, Solver processes).  A worker imports scipy.sparse.csgraph on its
-first phase replicate.  CPython 3.12 and later warn (DeprecationWarning)
-when a process that runs threads forks; OpenBLAS's idle threads count.
+whole body, sampling to scoring, runs in a worker process that
+_running_grids forked, at most one per usable core, with OpenBLAS at one
+thread.  Each worker sits behind one duplex pipe.  The replicate function is
+still called by name, on one job thread per worker the grid gets.  That
+thread takes an idle worker, sends it the body, the point and the two seed
+lists, and waits for the two floats without holding the GIL; they are the
+serial ones, bit for bit.  No other thread of the calling process takes part.
+Every other grid runs one replicate at a time on one job thread: ARPACK's
+Lanczos steps (dsaupd) and the Python around them hold the GIL, so two
+threads of one process ran slower than one (README, Solver processes).  A
+worker imports scipy.sparse.csgraph on its first phase replicate.  CPython
+3.12 and later warn (DeprecationWarning) when a process that runs threads
+forks; OpenBLAS's idle threads count.
 """
 
 from __future__ import annotations
 
-import atexit
 import contextlib
 import ctypes
 import functools
 import glob
 import math
 import os
+import pickle
+import queue
 import threading
 import time
+import traceback
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -277,55 +282,85 @@ def _usable_cores():
     return os.cpu_count() or 1
 
 
-def _worker_init(parent):
-    """Set-up of a solver worker process: exit soon after the parent is gone.
-    A killed parent cannot shut its pool down, and each worker inherits the
-    write end of the pipe it reads its tasks from, so it would never read an
-    end of file."""
+class _RemoteTraceback(Exception):
+    """The traceback text of an exception raised in a solver worker."""
+
+
+def _with_trace(exc):
+    """(exc, its traceback text): what a solver worker sends for a failure."""
+    trace = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+    return exc, f'\n"""\n{trace}"""'
+
+
+def _serve(end, parent, ends):
+    """The loop of a solver worker process.  It reads (body, point,
+    sample_seed, solver_seed) from its pipe end, runs the body and sends
+    back (True, value) or (False, (exception, traceback text)), a pickling
+    failure of either included, until the parent closes its end.
+
+    ends: the parent's pipe ends at the fork, this worker's own included.
+    The worker closes its copies, so that the parent's close alone ends its
+    pipe.  A watchdog exits soon after the parent is gone, also in the
+    middle of a body, whose reply would find no reader."""
+    for other in ends:
+        other.close()
+
     def watch():
         while os.getppid() == parent:
             time.sleep(0.5)
         os._exit(1)
 
     threading.Thread(target=watch, daemon=True).start()
+    try:
+        while True:
+            body, *args = end.recv()
+            try:
+                reply = True, body(*args)
+            except BaseException as exc:  # the parent raises it again
+                reply = False, _with_trace(exc)
+            try:
+                data = pickle.dumps(reply)
+            except Exception as exc:  # the value or the exception does not pickle
+                data = pickle.dumps((False, _with_trace(exc)))
+            end.send_bytes(data)
+    except (EOFError, OSError):  # the parent closed its end, or is gone
+        pass
 
 
 class _RunningGrids:
-    """What running grids share: the OpenBLAS pin and the solver pool.
+    """What running grids share: the OpenBLAS pin and the solver workers.
 
     Grids may overlap in different user threads.  One lock guards one count
     of running grids: the first grid in pins every OpenBLAS of
     _openblas_controls to one thread, and the last one out restores the
-    counts.  The forked worker processes persist between grids.  The pool is
-    created, or enlarged, only while no other grid runs, so no grid's
-    threads are alive when it forks, and always after the pin, so its
-    workers inherit OpenBLAS at one thread.  It is joined at exit.
+    counts.  The solver workers are forked processes, each behind one duplex
+    pipe, and they persist between grids.  _pool, a queue of the pipe ends
+    of the idle workers, is what pooled grids share: a job thread takes an
+    end for each replicate and puts it back after the reply.  Workers are
+    forked, or replaced by more, only while no other grid runs, so no grid's
+    threads are alive at the fork, and always after the pin, so that they
+    inherit OpenBLAS at one thread.  They are daemonic, so multiprocessing
+    ends them when the interpreter exits.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._count = 0
         self._restore = ()
+        self._workers = []  # (process, pipe end) of each solver worker
         self._pool = None
-        self._size = 0
-        # while concurrent.futures can still release the pool quietly
-        atexit.register(self._close)
 
     @contextlib.contextmanager
     def __call__(self, size):
-        """Yield the solver pool if size >= 2, else None.  The pool has at
-        least size workers unless another grid was running when this one
-        came in; a pooled grid that then finds no pool runs one replicate at
-        a time.  A worker that dies stops the grid with
-        BrokenProcessPool, and the next grid gets a new pool."""
-        broken = ()  # no exception type: a grid without a pool cannot break it
+        """Yield (pool, workers): the queue of idle pipe ends and the number
+        of workers if size >= 2, else (None, 0).  There are at least size
+        workers unless another grid was running when this one came in; a
+        pooled grid that then finds no workers runs one replicate at a time.
+        A worker that dies stops the grid with BrokenProcessPool (_offload);
+        the grid drops every worker, and the next grid forks new ones."""
+        pool, workers = None, 0
         if size > 1:
-            # imported on first use (README, Start-up); scipy.sparse.linalg
-            # before the fork, so that the workers inherit it
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-            from concurrent.futures.process import BrokenProcessPool as broken
-
+            # imported before the fork, so that the workers inherit it
             import scipy.sparse.linalg  # noqa: F401
         try:
             with self._lock:
@@ -334,38 +369,54 @@ class _RunningGrids:
                     self._restore = [(put, get()) for get, put in _openblas_controls()]
                     for put, _ in self._restore:
                         put(1)
-                    if size > 1 and self._size < size:
+                    if size > 1 and len(self._workers) < size:
                         self._close()
-                        self._pool = ProcessPoolExecutor(
-                            size, mp_context=multiprocessing.get_context("fork"),
-                            initializer=_worker_init, initargs=(os.getpid(),))
-                        self._size = size
-                        self._pool.submit(int)  # forks every worker now, here
-                pool = self._pool if size > 1 else None
-            yield pool
-        except broken as exc:
-            with self._lock:
-                if self._pool is pool:
-                    self._pool, self._size = None, 0
-            pool.shutdown(wait=False)
-            raise broken(
-                "an eigensolver worker process ended abruptly; the grid is "
-                "stopped, and the next grid starts new workers") from exc
+                        self._fork(size)
+                if size > 1 and self._pool is not None:
+                    pool, workers = self._pool, len(self._workers)
+            yield pool, workers
         finally:
             with self._lock:
+                # _offload closes the pipe end of a worker that is gone
+                if (pool is not None and pool is self._pool
+                        and any(end.closed for _, end in self._workers)):
+                    for proc, _ in self._workers:
+                        proc.kill()
+                        proc.join()
+                    self._workers, self._pool = [], None
                 self._count -= 1
                 if not self._count:
                     for put, count in self._restore:
                         put(count)
 
+    def _fork(self, size):
+        """Fork size solver workers from this thread, all of them idle."""
+        # imported on first use (README, Start-up)
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        self._pool, ends = queue.SimpleQueue(), []
+        for _ in range(size):
+            end, theirs = context.Pipe()
+            ends.append(end)
+            proc = context.Process(target=_serve, args=(theirs, os.getpid(), ends),
+                                   daemon=True)
+            proc.start()
+            theirs.close()
+            self._workers.append((proc, end))
+            self._pool.put(end)
+
     def _close(self):
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool, self._size = None, 0
+        """End the workers: each reads an end of file and returns."""
+        for _, end in self._workers:
+            end.close()
+        for proc, _ in self._workers:
+            proc.join()
+        self._workers, self._pool = [], None
 
 
 _running_grids = _RunningGrids()
-# _grid_thread.pool: the process pool of a job thread's grid, or None (_carry)
+# _grid_thread.pool: the idle-worker queue of a job thread's grid, or None (_carry)
 _grid_thread = threading.local()
 # A pooled grid needs a point of at least this n.  Against serial runs a warm
 # pool of two workers won most rounds from n = 300 up, and all but one from
@@ -375,12 +426,33 @@ _POOL_MIN_N = 1000
 
 def _offload(body, point, sample_seed, solver_seed):
     """body(point, sample_seed, solver_seed), in a solver worker process when
-    the calling job thread carries a pool.  body is a module-level function,
-    so that it pickles by reference."""
+    the calling job thread carries a pool.  The thread takes an idle
+    worker's pipe end, sends the call, waits for the reply without holding
+    the GIL and puts the end back.  body is a module-level function, so
+    that it pickles by reference; an exception from it keeps its type and
+    carries the worker's traceback text as its __cause__."""
     pool = getattr(_grid_thread, "pool", None)
     if pool is None:
         return body(point, sample_seed, solver_seed)
-    return pool.submit(body, point, sample_seed, solver_seed).result()
+    end = pool.get()
+    try:
+        end.send((body, point, sample_seed, solver_seed))
+        ok, value = end.recv()
+    except (EOFError, OSError) as exc:
+        # the worker is gone: its closed end marks the pool broken for
+        # _RunningGrids, and fails every later replicate that takes it
+        end.close()
+        from concurrent.futures.process import BrokenProcessPool
+
+        raise BrokenProcessPool(
+            "an eigensolver worker process ended abruptly; the grid is "
+            "stopped, and the next grid starts new workers") from exc
+    finally:
+        pool.put(end)
+    if ok:
+        return value
+    exc, trace = value
+    raise exc from _RemoteTraceback(trace)
 
 
 def _run_grid(points, R, seed, replicate_fn, threads=None):
@@ -390,7 +462,8 @@ def _run_grid(points, R, seed, replicate_fn, threads=None):
 
     threads is None (one per usable core) or an integer >= 1: the worker
     processes of a pooled grid (module docstring), capped at the usable
-    cores.  A pooled grid has one job thread per worker, any other grid one.
+    cores.  A pooled grid has one job thread per worker it gets, any other
+    grid one.
     """
     if threads is not None:
         _validate.integer("threads", threads, 1)
@@ -413,16 +486,16 @@ def _run_grid(points, R, seed, replicate_fn, threads=None):
     pooled = len(tasks) > 1 and any(p.get("n", 0) >= _POOL_MIN_N for p in points)
     size = min(threads or cores, cores) if pooled else 1
     # map raises the first failure and cancels the tasks still queued
-    with _running_grids(size) as procs, ThreadPoolExecutor(
-            max_workers=size if procs else 1, initializer=_carry,
-            initargs=(procs,)) as pool:
-        list(pool.map(job, tasks))
+    with _running_grids(size) as (pool, workers), ThreadPoolExecutor(
+            max_workers=min(size, workers) or 1, initializer=_carry,
+            initargs=(pool,)) as jobs:
+        list(jobs.map(job, tasks))
     return out[0], out[1]
 
 
-def _carry(procs):
+def _carry(pool):
     """Job thread set-up: where _offload sends this thread's replicates."""
-    _grid_thread.pool = procs
+    _grid_thread.pool = pool
 
 
 def _mean_stderr(values):

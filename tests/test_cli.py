@@ -631,7 +631,7 @@ import specgraph
 from specgraph.cli import main
 
 lazy = ("scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.cluster", "scipy.optimize",
-        "multiprocessing")
+        "multiprocessing", "concurrent.futures.process")
 report, *runs = sys.argv[1:]
 seen = []
 for argv in runs:
@@ -661,7 +661,8 @@ def test_solver_subpackages_load_on_first_use(tmp_path):
     # import specgraph, bounds, gen and reg load numpy and scipy.sparse only;
     # the eigensolver, the assignment solver and k-means load when first
     # called, no command loads scipy.optimize, and only a grid that sends its
-    # solves to worker processes loads multiprocessing
+    # solves to worker processes loads multiprocessing, and none loads
+    # concurrent.futures.process
     g = str(tmp_path / "g.tsv")
     linalg, csgraph, cluster = "scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.cluster"
     assert _start_up(

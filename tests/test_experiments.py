@@ -397,7 +397,7 @@ def controls():
         put(count)
 
 
-def _blas_counts_here():
+def _blas_counts_here(*args):
     return blas_counts(experiments._openblas_controls())
 
 
@@ -410,8 +410,8 @@ def test_grid_pins_blas_to_one_thread(controls, fresh_grids):
         def replicate(point, sample_seed, solver_seed):
             seen.append(blas_counts(controls))
             if experiments._grid_thread.pool is not None:
-                seen.append(experiments._grid_thread.pool.submit(
-                    _blas_counts_here).result())
+                seen.append(experiments._offload(
+                    _blas_counts_here, point, sample_seed, solver_seed))
             return 0.0, 0.0
 
         experiments._run_grid(points, 3, 0, replicate, threads)
@@ -461,15 +461,18 @@ def test_overlapping_grids_restore_blas_when_both_end(controls, fresh_grids,
         first.start()
         try:
             assert inside.wait(60)
-            experiments._run_grid(points, 2, 0, second, 3)
+            experiments._run_grid(points, 3, 0, second, 3)
             assert blas_counts(controls) == [1] * len(controls)  # first runs
-            assert (fresh_grids._pool, fresh_grids._size) == (pool, 2 if pool else 0)
+            assert (fresh_grids._pool, len(fresh_grids._workers)) == (
+                pool, 2 if pool else 0)
         finally:
             release.set()
             first.join()
-        assert carried == [pool if points is big else None] * 2
-        # a grid without a pool, one that found none included, has one job thread
+        assert carried == [pool if points is big else None] * 3
+        # a grid without a pool, one that found none included, has one job
+        # thread, and a grid of three that finds two workers has two at most
         assert len(idents) == 1 or (points is big and pool is not None), points
+        assert len(idents) <= 2
         assert blas_counts(controls) == [2] * len(controls)
         if pool is None:
             # a pool of two workers, which a grid of three enlarges when none runs
@@ -526,7 +529,7 @@ def test_grid_job_threads_follow_its_worker_processes(monkeypatch,
     monkeypatch.setattr(experiments, "_usable_cores", lambda: 2)
     big = {"n": experiments._POOL_MIN_N}
     experiments._run_grid([big, big], 4, 0, replicate, 64)
-    assert fresh_grids._size == 2
+    assert len(fresh_grids._workers) == 2
     assert 1 <= len(set(idents)) <= 2
     assert threading.main_thread().ident not in idents
 

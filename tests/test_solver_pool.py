@@ -6,10 +6,11 @@ sends its whole body to a worker process.  The replicate function itself is
 still called in the parent, which gets back two floats.
 """
 
-import concurrent.futures
 import concurrent.futures.process
 import functools
 import hashlib
+import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import subprocess
@@ -37,16 +38,22 @@ N = 1200  # above experiments._POOL_MIN_N
 
 @pytest.fixture
 def submitted(monkeypatch):
-    """Names of the functions grids submit to their worker processes."""
+    """Names of the bodies grids send down their workers' pipes, and
+    "_fork" for each time a grid forks its workers."""
     names = []
-    real = concurrent.futures.process.ProcessPoolExecutor.submit
+    send = multiprocessing.connection.Connection.send
+    fork = experiments._RunningGrids._fork
 
-    def submit(self, fn, *args, **kwargs):
-        names.append(getattr(fn, "__name__", repr(fn)))
-        return real(self, fn, *args, **kwargs)
+    def spy_send(self, task):
+        names.append(getattr(task[0], "__name__", repr(task[0])))
+        return send(self, task)
 
-    monkeypatch.setattr(concurrent.futures.process.ProcessPoolExecutor,
-                        "submit", submit)
+    def spy_fork(self, size):
+        names.append("_fork")
+        return fork(self, size)
+
+    monkeypatch.setattr(multiprocessing.connection.Connection, "send", spy_send)
+    monkeypatch.setattr(experiments._RunningGrids, "_fork", spy_fork)
     return names
 
 
@@ -145,7 +152,8 @@ def test_overlapping_pooled_grids_share_the_pool(fresh_grids, submitted):
         caller.join(120)
     assert results == [measure_concentration(cfg, threads=1).to_csv()
                        for cfg in configs]
-    assert (submitted.count("int"),
+    # the workers forked once, for the first grid in
+    assert (submitted.count("_fork"),
             submitted.count("_concentration_body")) == (1, 12)
 
 
@@ -215,6 +223,77 @@ def test_worker_exception_reaches_the_grid_with_its_type(monkeypatch,
     with pytest.raises(WorkerFailure) as err:
         measure_concentration(cfg, threads=2)
     assert err.value.args[0] != os.getpid()
+    # the worker's traceback text comes along as the cause
+    assert "in _raise_in_worker" in str(err.value.__cause__)
+    assert "WorkerFailure" in str(err.value.__cause__)
+
+
+class TwoArgFailure(Exception):
+    def __init__(self, first, second):  # unpickles with one argument only
+        super().__init__(first)
+
+
+def _return_a_lock(*args):
+    return threading.Lock(), 0.0
+
+
+def _raise_with_a_lock(*args):
+    raise WorkerFailure(threading.Lock())
+
+
+def _raise_two_arg_failure(*args):
+    raise TwoArgFailure(1, 2)
+
+
+def test_reply_that_does_not_pickle_reaches_the_grid(monkeypatch, fresh_grids):
+    # a value or exception that cannot cross the pipe, either way, is an
+    # error of its grid; the workers stay and serve the next grid
+    monkeypatch.setattr(experiments, "_usable_cores", lambda: 2)
+    big = {"n": experiments._POOL_MIN_N}
+    for body, text in ((_return_a_lock, "_thread.lock"),
+                       (_raise_with_a_lock, "_thread.lock"),
+                       (_raise_two_arg_failure, "second")):
+        replicate = functools.partial(experiments._offload, body)
+        exc = run_with_deadline(
+            lambda: experiments._run_grid([big], 2, 0, replicate, 2))
+        assert isinstance(exc, TypeError) and text in str(exc), (body, exc)
+    workers = fresh_grids._workers
+    cfg = ExperimentConfig(model="er", n_grid=(N,), d_grid=(2.0,), R=2, seed=1)
+    assert (measure_concentration(cfg, threads=2).to_csv()
+            == measure_concentration(cfg, threads=1).to_csv())
+    assert fresh_grids._workers == workers and len(workers) == 2
+
+
+_MEET = None  # a barrier of two worker processes, set before they fork
+
+
+def _meet_in_worker(*args):
+    _MEET.wait()
+    return os.getpid(), 0.0
+
+
+def test_pooled_grid_runs_no_thread_but_its_job_threads(monkeypatch,
+                                                        fresh_grids):
+    # a job thread sends its replicate straight down a worker's pipe: while
+    # two replicates are in flight, in two workers, the calling process runs
+    # the grid's job threads and no other thread of its own
+    monkeypatch.setattr(experiments, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(sys.modules[__name__], "_MEET",
+                        multiprocessing.get_context("fork").Barrier(2, timeout=30))
+    before = set(threading.enumerate())
+    jobs, during = set(), []
+
+    def replicate(point, sample_seed, solver_seed):
+        jobs.add(threading.current_thread())
+        pid = experiments._offload(_meet_in_worker, point, sample_seed,
+                                   solver_seed)
+        during.append(set(threading.enumerate()) - before)
+        return pid
+
+    pids, _ = experiments._run_grid([{"n": experiments._POOL_MIN_N}], 2, 0,
+                                    replicate, 2)
+    assert len(jobs) == 2 and during == [jobs, jobs]
+    assert len(set(pids[0])) == 2 and os.getpid() not in pids[0]
 
 
 def run_with_deadline(fn, seconds=60):
@@ -251,13 +330,13 @@ def test_dead_worker_stops_the_grid_and_the_next_grid_replaces_it(
 
 def test_pool_size_follows_the_usable_cores(monkeypatch, fresh_grids):
     sizes = []
+    fork = experiments._RunningGrids._fork
 
-    class Spy(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers, **kwargs)
+    def spy(self, size):
+        sizes.append(size)
+        return fork(self, size)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    monkeypatch.setattr(experiments._RunningGrids, "_fork", spy)
     cfg = ExperimentConfig(model="er", n_grid=(N,), d_grid=(2.0,), R=2, seed=1)
     pooled = measure_concentration(cfg, threads=64).to_csv()
     cores = len(os.sched_getaffinity(0))
