@@ -15,25 +15,26 @@ a fixed order, so results are byte-identical for any thread count.
 
 BLAS rule: a grid runs with every loaded OpenBLAS held at one thread, and
 the previous counts come back when it ends, so BLAS threads do not compete
-with the grid's worker processes, or its one job thread, for the cores.  The
-BLAS thread count sets the reduction order, which moves the last digits at
-n = 1e5, so pinning it also makes the CSV bytes independent of
-OPENBLAS_NUM_THREADS and the host's core count.  One-off solves outside a
-grid (the CLI's detect and fig-eigvec) keep OpenBLAS's own setting.
+with the grid's worker processes for the cores.  The BLAS thread count sets
+the reduction order, which moves the last digits at n = 1e5, so pinning it
+also makes the CSV bytes independent of OPENBLAS_NUM_THREADS and the host's
+core count.  One-off solves outside a grid (the CLI's detect and fig-eigvec)
+keep OpenBLAS's own setting.
 
-Solver processes: a grid pools when min(threads, usable cores) >= 2, it has
-two tasks or more and a point of n >= _POOL_MIN_N.  Then each replicate's
-whole body, sampling to scoring, runs in a worker process that
-_running_grids forked, at most one per usable core, with OpenBLAS at one
-thread.  Each worker sits behind one duplex pipe.  The replicate function is
-still called by name, on one job thread per worker the grid gets.  That
-thread takes an idle worker, sends it the body, the point and the two seed
-lists, and waits for the two floats without holding the GIL; they are the
-serial ones, bit for bit.  No other thread of the calling process takes part.
-Every other grid runs one replicate at a time on one job thread: ARPACK's
-Lanczos steps (dsaupd) and the Python around them hold the GIL, so two
-threads of one process ran slower than one (README, Solver processes).  A
-worker imports scipy.sparse.csgraph on its first phase replicate.  CPython
+Solver processes: a process runs one grid at a time; a grid that comes in
+from another thread while one runs waits for it.  A grid pools when
+min(threads, usable cores) >= 2, it has two tasks or more and a point of
+n >= _POOL_MIN_N.  Then each replicate's whole body, sampling to scoring,
+runs in a worker process that _running_grids forked, at most one per usable
+core, with OpenBLAS at one thread.  Each worker sits behind one duplex pipe.
+The replicate function is still called by name, on one job thread per
+worker, which sends its worker the body, the point and the two seed lists
+and waits for the two floats without holding the GIL; they are the serial
+ones, bit for bit.  No other thread of the calling process takes part.
+Every other grid runs one replicate at a time on the calling thread:
+ARPACK's Lanczos steps (dsaupd) and the Python around them hold the GIL, so
+two threads of one process ran slower than one (README, Solver processes).
+A worker imports scipy.sparse.csgraph on its first phase replicate.  CPython
 3.12 and later warn (DeprecationWarning) when a process that runs threads
 forks; OpenBLAS's idle threads count.
 """
@@ -47,12 +48,10 @@ import glob
 import math
 import os
 import pickle
-import queue
 import threading
 import time
 import traceback
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -328,74 +327,57 @@ def _serve(end, parent, ends):
 
 
 class _RunningGrids:
-    """What running grids share: the OpenBLAS pin and the solver workers.
+    """What grids share: the OpenBLAS pin and the solver workers.
 
-    Grids may overlap in different user threads.  One lock guards one count
-    of running grids: the first grid in pins every OpenBLAS of
-    _openblas_controls to one thread, and the last one out restores the
-    counts.  The solver workers are forked processes, each behind one duplex
-    pipe, and they persist between grids.  _pool, a queue of the pipe ends
-    of the idle workers, is what pooled grids share: a job thread takes an
-    end for each replicate and puts it back after the reply.  Workers are
-    forked, or replaced by more, only while no other grid runs, so no grid's
-    threads are alive at the fork, and always after the pin, so that they
-    inherit OpenBLAS at one thread.  They are daemonic, so multiprocessing
-    ends them when the interpreter exits.
+    A process runs one grid at a time: a grid holds one lock from start to
+    end, and a grid that comes in from another thread waits for it.  While
+    a grid runs, every OpenBLAS of _openblas_controls is held at one thread.
+    The solver workers are forked processes, each behind one duplex pipe,
+    and they persist between grids.  They fork after the pin, so that they
+    inherit OpenBLAS at one thread, and before the grid starts any thread.
+    They are daemonic, so multiprocessing ends them when the interpreter
+    exits.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._count = 0
-        self._restore = ()
         self._workers = []  # (process, pipe end) of each solver worker
-        self._pool = None
 
     @contextlib.contextmanager
     def __call__(self, size):
-        """Yield (pool, workers): the queue of idle pipe ends and the number
-        of workers if size >= 2, else (None, 0).  There are at least size
-        workers unless another grid was running when this one came in; a
-        pooled grid that then finds no workers runs one replicate at a time.
-        A worker that dies stops the grid with BrokenProcessPool (_offload);
-        the grid drops every worker, and the next grid forks new ones."""
-        pool, workers = None, 0
+        """Hold the lock and the pin for one grid, and yield the pipe ends of
+        size workers, forked if there are fewer, if size >= 2, else [].  A
+        worker that dies stops the grid with BrokenProcessPool (_offload);
+        the grid then ends every worker, and the next grid forks new ones."""
         if size > 1:
             # imported before the fork, so that the workers inherit it
             import scipy.sparse.linalg  # noqa: F401
-        try:
-            with self._lock:
-                self._count += 1
-                if self._count == 1:
-                    self._restore = [(put, get()) for get, put in _openblas_controls()]
-                    for put, _ in self._restore:
-                        put(1)
-                    if size > 1 and len(self._workers) < size:
-                        self._close()
-                        self._fork(size)
-                if size > 1 and self._pool is not None:
-                    pool, workers = self._pool, len(self._workers)
-            yield pool, workers
-        finally:
-            with self._lock:
+        with self._lock:
+            restore = [(put, get()) for get, put in _openblas_controls()]
+            for put, _ in restore:
+                put(1)
+            try:
+                if size > 1 and len(self._workers) < size:
+                    self._close()
+                    self._fork(size)
+                yield [end for _, end in self._workers[:size]] if size > 1 else []
+            finally:
                 # _offload closes the pipe end of a worker that is gone
-                if (pool is not None and pool is self._pool
-                        and any(end.closed for _, end in self._workers)):
+                if any(end.closed for _, end in self._workers):
                     for proc, _ in self._workers:
                         proc.kill()
                         proc.join()
-                    self._workers, self._pool = [], None
-                self._count -= 1
-                if not self._count:
-                    for put, count in self._restore:
-                        put(count)
+                    self._workers = []
+                for put, count in restore:
+                    put(count)
 
     def _fork(self, size):
-        """Fork size solver workers from this thread, all of them idle."""
+        """Fork size solver workers from this thread."""
         # imported on first use (README, Start-up)
         import multiprocessing
 
         context = multiprocessing.get_context("fork")
-        self._pool, ends = queue.SimpleQueue(), []
+        ends = []
         for _ in range(size):
             end, theirs = context.Pipe()
             ends.append(end)
@@ -404,7 +386,6 @@ class _RunningGrids:
             proc.start()
             theirs.close()
             self._workers.append((proc, end))
-            self._pool.put(end)
 
     def _close(self):
         """End the workers: each reads an end of file and returns."""
@@ -412,11 +393,12 @@ class _RunningGrids:
             end.close()
         for proc, _ in self._workers:
             proc.join()
-        self._workers, self._pool = [], None
+        self._workers = []
 
 
 _running_grids = _RunningGrids()
-# _grid_thread.pool: the idle-worker queue of a job thread's grid, or None (_carry)
+# _grid_thread.end: the pipe end of the worker that runs a job thread's
+# replicates, or None where they run in this process (_run_grid)
 _grid_thread = threading.local()
 # A pooled grid needs a point of at least this n.  Against serial runs a warm
 # pool of two workers won most rounds from n = 300 up, and all but one from
@@ -425,30 +407,27 @@ _POOL_MIN_N = 1000
 
 
 def _offload(body, point, sample_seed, solver_seed):
-    """body(point, sample_seed, solver_seed), in a solver worker process when
-    the calling job thread carries a pool.  The thread takes an idle
-    worker's pipe end, sends the call, waits for the reply without holding
-    the GIL and puts the end back.  body is a module-level function, so
-    that it pickles by reference; an exception from it keeps its type and
-    carries the worker's traceback text as its __cause__."""
-    pool = getattr(_grid_thread, "pool", None)
-    if pool is None:
+    """body(point, sample_seed, solver_seed), in the calling job thread's
+    solver worker if it has one.  The thread sends the call down the
+    worker's pipe and waits for the reply without holding the GIL.  body is
+    a module-level function, so that it pickles by reference; an exception
+    from it keeps its type and carries the worker's traceback text as its
+    __cause__."""
+    end = getattr(_grid_thread, "end", None)
+    if end is None:
         return body(point, sample_seed, solver_seed)
-    end = pool.get()
     try:
         end.send((body, point, sample_seed, solver_seed))
         ok, value = end.recv()
     except (EOFError, OSError) as exc:
-        # the worker is gone: its closed end marks the pool broken for
-        # _RunningGrids, and fails every later replicate that takes it
+        # the worker is gone: its closed end tells _RunningGrids to end
+        # every worker when the grid does
         end.close()
         from concurrent.futures.process import BrokenProcessPool
 
         raise BrokenProcessPool(
             "an eigensolver worker process ended abruptly; the grid is "
             "stopped, and the next grid starts new workers") from exc
-    finally:
-        pool.put(end)
     if ok:
         return value
     exc, trace = value
@@ -462,40 +441,48 @@ def _run_grid(points, R, seed, replicate_fn, threads=None):
 
     threads is None (one per usable core) or an integer >= 1: the worker
     processes of a pooled grid (module docstring), capped at the usable
-    cores.  A pooled grid has one job thread per worker it gets, any other
-    grid one.
+    cores.  A pooled grid runs one job thread per worker, any other grid
+    runs on the calling thread; each takes the next slot until none is
+    left.  Once a replicate raises, no replicate starts, and the grid raises
+    the failure of the lowest slot.
     """
     if threads is not None:
         _validate.integer("threads", threads, 1)
     out = np.full((2, len(points), R), np.nan)
-    failed = threading.Event()
-
-    def job(task):
-        gi, r = task
-        if failed.is_set():  # a replicate raised; map is cancelling the rest
-            return
-        try:
-            out[:, gi, r] = replicate_fn(points[gi], [seed, gi, r, 0],
-                                         [seed, gi, r, 1])
-        except BaseException:
-            failed.set()
-            raise
-
     tasks = [(gi, r) for gi in range(len(points)) for r in range(R)]
+    slots, failures = iter(tasks), {}
+
+    def run(end):
+        _grid_thread.end = end
+        for gi, r in slots:
+            if failures:
+                return
+            try:
+                out[:, gi, r] = replicate_fn(points[gi], [seed, gi, r, 0],
+                                             [seed, gi, r, 1])
+            except BaseException as exc:
+                failures[gi, r] = exc
+                return
+
     cores = _usable_cores()
     pooled = len(tasks) > 1 and any(p.get("n", 0) >= _POOL_MIN_N for p in points)
-    size = min(threads or cores, cores) if pooled else 1
-    # map raises the first failure and cancels the tasks still queued
-    with _running_grids(size) as (pool, workers), ThreadPoolExecutor(
-            max_workers=min(size, workers) or 1, initializer=_carry,
-            initargs=(pool,)) as jobs:
-        list(jobs.map(job, tasks))
+    with _running_grids(min(threads or cores, cores) if pooled else 1) as ends:
+        jobs = [threading.Thread(target=run, args=(end,)) for end in ends]
+        try:
+            for job in jobs:
+                job.start()
+            if not jobs:
+                run(None)
+            for job in jobs:
+                job.join()
+        except BaseException as exc:  # a Ctrl-C in the calling thread
+            failures[-1, -1] = exc  # stops the job threads, and ranks first
+            for job in jobs:
+                if job.is_alive():
+                    job.join()
+    if failures:
+        raise failures[min(failures)]
     return out[0], out[1]
-
-
-def _carry(pool):
-    """Job thread set-up: where _offload sends this thread's replicates."""
-    _grid_thread.pool = pool
 
 
 def _mean_stderr(values):

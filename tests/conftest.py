@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 
 from specgraph import experiments
@@ -5,9 +7,17 @@ from specgraph import experiments
 
 @pytest.fixture
 def fresh_grids(monkeypatch):
-    """Running-grid state of this test's own, so that its solver pool forks
-    after the test's monkeypatches; the pool is closed at the end."""
+    """Running-grid state of this test's own, so that its solver workers
+    fork after the test's monkeypatches; they are ended at the end.  The
+    test fails if it leaves the grid lock held or a thread of its own alive,
+    a job thread that outlived its grid included."""
+    before = set(threading.enumerate())
     grids = experiments._RunningGrids()
     monkeypatch.setattr(experiments, "_running_grids", grids)
     yield grids
-    grids._close()
+    try:
+        assert not grids._lock.locked(), "a grid still holds the lock"
+        left = set(threading.enumerate()) - before
+        assert not left, f"threads of this test still alive: {left}"
+    finally:
+        grids._close()

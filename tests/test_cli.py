@@ -631,7 +631,7 @@ import specgraph
 from specgraph.cli import main
 
 lazy = ("scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.cluster", "scipy.optimize",
-        "multiprocessing", "concurrent.futures.process")
+        "multiprocessing", "concurrent.futures.process", "concurrent.futures.thread")
 report, *runs = sys.argv[1:]
 seen = []
 for argv in runs:
@@ -662,7 +662,7 @@ def test_solver_subpackages_load_on_first_use(tmp_path):
     # the eigensolver, the assignment solver and k-means load when first
     # called, no command loads scipy.optimize, and only a grid that sends its
     # solves to worker processes loads multiprocessing, and none loads
-    # concurrent.futures.process
+    # concurrent.futures.process or concurrent.futures.thread
     g = str(tmp_path / "g.tsv")
     linalg, csgraph, cluster = "scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.cluster"
     assert _start_up(

@@ -409,7 +409,7 @@ def test_grid_pins_blas_to_one_thread(controls, fresh_grids):
 
         def replicate(point, sample_seed, solver_seed):
             seen.append(blas_counts(controls))
-            if experiments._grid_thread.pool is not None:
+            if experiments._grid_thread.end is not None:
                 seen.append(experiments._offload(
                     _blas_counts_here, point, sample_seed, solver_seed))
             return 0.0, 0.0
@@ -432,6 +432,10 @@ def test_grid_restores_blas_when_a_replicate_raises(controls):
 
 def test_overlapping_grids_restore_blas_when_both_end(controls, fresh_grids,
                                                       monkeypatch):
+    # a grid that comes in while another runs waits for it, pooled or not,
+    # and the counts come back only after both end
+    from test_solver_pool import run_with_deadline
+
     inside, release = threading.Event(), threading.Event()
 
     def held(point, sample_seed, solver_seed):
@@ -439,45 +443,50 @@ def test_overlapping_grids_restore_blas_when_both_end(controls, fresh_grids,
         release.wait(60)
         return 0.0, 0.0
 
-    carried, idents = [], set()
+    carried, idents, waited = [], set(), []
 
     def second(point, sample_seed, solver_seed):
-        carried.append(experiments._grid_thread.pool)
+        waited.append(release.is_set())
+        carried.append(experiments._grid_thread.end)
         idents.add(threading.get_ident())
-        time.sleep(0.02)  # keeps a job thread busy while the next task queues
+        time.sleep(0.02)  # keeps a job thread busy while the next one starts
         return 0.0, 0.0
 
     monkeypatch.setattr(experiments, "_usable_cores", lambda: 4)
     big = [{"n": experiments._POOL_MIN_N}]
-    pool = None
-    # the second grid pooled before any pool exists, unpooled, then pooled
-    for points in (big, [{}], big):
+    for points in (big, [{}]):
         inside.clear()
         release.clear()
         carried.clear()
         idents.clear()
+        waited.clear()
         first = threading.Thread(target=experiments._run_grid,
                                  args=([{}], 1, 0, held, 1))
         first.start()
+        releaser = threading.Timer(0.2, release.set)
         try:
             assert inside.wait(60)
-            experiments._run_grid(points, 3, 0, second, 3)
             assert blas_counts(controls) == [1] * len(controls)  # first runs
-            assert (fresh_grids._pool, len(fresh_grids._workers)) == (
-                pool, 2 if pool else 0)
+            releaser.start()
+            assert run_with_deadline(
+                lambda: experiments._run_grid(points, 3, 0, second, 3)) is None
         finally:
             release.set()
-            first.join()
-        assert carried == [pool if points is big else None] * 3
-        # a grid without a pool, one that found none included, has one job
-        # thread, and a grid of three that finds two workers has two at most
-        assert len(idents) == 1 or (points is big and pool is not None), points
-        assert len(idents) <= 2
+            releaser.cancel()
+            first.join(60)
+        releaser.join(60)
+        assert not first.is_alive() and not releaser.is_alive()
+        assert waited == [True] * 3
+        ends = [end for _, end in fresh_grids._workers]
+        if points is big:
+            # a pooled grid of three on four usable cores forks three workers
+            # and starts one job thread for each, none of them the caller's
+            assert len(ends) == 3 and set(carried) <= set(ends)
+            assert 1 <= len(idents) <= 3
+        else:
+            # an unpooled grid runs on its calling thread
+            assert carried == [None] * 3 and len(idents) == 1
         assert blas_counts(controls) == [2] * len(controls)
-        if pool is None:
-            # a pool of two workers, which a grid of three enlarges when none runs
-            experiments._run_grid(big, 2, 0, lambda *a: (0.0, 0.0), 2)
-            pool = fresh_grids._pool
 
 
 def test_grid_without_blas_controls_leaves_blas_alone(controls, monkeypatch):
@@ -492,46 +501,77 @@ def test_grid_without_blas_controls_leaves_blas_alone(controls, monkeypatch):
     assert seen == [[2] * len(controls)] * 2
 
 
-def test_grid_cancels_queued_replicates_after_one_raises():
-    # every thread count runs on the pool, and a failure stops the grid early
-    for threads in (1, 2):
+def test_grid_cancels_queued_replicates_after_one_raises(monkeypatch,
+                                                         fresh_grids):
+    # once a replicate raises, no replicate starts, and the grid raises the
+    # failure of the lowest slot; an unpooled grid runs on the calling
+    # thread, a pooled one on its job threads
+    monkeypatch.setattr(experiments, "_usable_cores", lambda: 2)
+    big = {"n": experiments._POOL_MIN_N}
+    for points, threads in (([{}], 1), ([{}], 2), ([big], 2)):
         started = []
 
         def replicate(point, sample_seed, solver_seed):
             started.append(threading.current_thread())
-            if sample_seed[2] == 0:
-                raise RuntimeError("replicate failed")
+            if sample_seed[2] < 2:
+                time.sleep(0.05 * (1 - sample_seed[2]))  # slot 1 raises first
+                raise RuntimeError(f"replicate {sample_seed[2]} failed")
             time.sleep(0.05)  # hold the workers while the failure propagates
             return 0.0, 0.0
 
-        with pytest.raises(RuntimeError, match="replicate failed"):
-            experiments._run_grid([{}], 200, 0, replicate, threads)
-        assert 1 <= len(started) <= threads + 2, (threads, len(started))
-        assert threading.main_thread() not in started
+        with pytest.raises(RuntimeError, match="replicate 0 failed"):
+            experiments._run_grid(points, 200, 0, replicate, threads)
+        if points[0]:
+            assert 1 <= len(started) <= threads + 2, len(started)
+            assert threading.current_thread() not in started
+        else:
+            assert started == [threading.current_thread()]
 
 
 def test_grid_job_threads_follow_its_worker_processes(monkeypatch,
                                                       fresh_grids):
     # threads counts worker processes: a grid without them runs one replicate
-    # at a time, off the main thread, and a pooled grid starts one job thread
-    # per worker, not one per requested thread
+    # at a time on the calling thread, and a pooled grid starts one job
+    # thread per worker, not one per requested thread
     idents = []
 
     def replicate(point, sample_seed, solver_seed):
         idents.append(threading.get_ident())
-        time.sleep(0.01)  # keeps a job thread busy while the next task queues
+        time.sleep(0.01)  # keeps a job thread busy while the next one starts
         return 0.0, 0.0
 
     experiments._run_grid([{}, {}], 4, 0, replicate, 3)
-    assert len(set(idents)) == 1
-    assert threading.main_thread().ident not in idents
+    assert set(idents) == {threading.get_ident()}
     idents.clear()
     monkeypatch.setattr(experiments, "_usable_cores", lambda: 2)
     big = {"n": experiments._POOL_MIN_N}
     experiments._run_grid([big, big], 4, 0, replicate, 64)
     assert len(fresh_grids._workers) == 2
     assert 1 <= len(set(idents)) <= 2
-    assert threading.main_thread().ident not in idents
+    assert threading.get_ident() not in idents
+
+
+def test_pooled_grid_runs_each_slot_once_under_contention(monkeypatch,
+                                                          fresh_grids):
+    # more job threads than cores take slots from one shared iterator, with
+    # a short switch interval: no slot is lost or run twice
+    monkeypatch.setattr(experiments, "_usable_cores", lambda: 4)
+    runs = []
+
+    def replicate(point, sample_seed, solver_seed):
+        runs.append(tuple(sample_seed[1:3]))
+        return float(sample_seed[2]), float(sample_seed[1])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        big = {"n": experiments._POOL_MIN_N}
+        values, points = experiments._run_grid([big, big], 300, 0, replicate, 4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(runs) == [(gi, r) for gi in range(2) for r in range(300)]
+    assert (values == np.arange(300)).all()
+    assert (points == np.arange(2)[:, None]).all()
 
 
 def test_grid_threads_validation():

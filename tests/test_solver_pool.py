@@ -6,6 +6,7 @@ sends its whole body to a worker process.  The replicate function itself is
 still called in the parent, which gets back two floats.
 """
 
+import _thread
 import concurrent.futures.process
 import functools
 import hashlib
@@ -135,11 +136,23 @@ def test_pooled_replicate_bodies_leave_the_parent(monkeypatch, fresh_grids):
     assert runs[0] == runs[1]
 
 
-def test_overlapping_pooled_grids_share_the_pool(fresh_grids, submitted):
-    # two callers' grids at once: the second one does not replace the pool
-    # the first one is using, and both keep their bytes
+def test_overlapping_pooled_grids_run_one_after_the_other(monkeypatch,
+                                                          fresh_grids,
+                                                          submitted):
+    # two callers' grids at once: a process runs one grid at a time, so the
+    # second one waits for the first, and both keep their bytes
     configs = [ExperimentConfig(model="er", n_grid=(N,), d_grid=(2.0,), R=6,
                                 seed=seed) for seed in (1, 2)]
+    spans = {1: [], 2: []}  # seed -> (start, end) of each of its replicates
+    real = experiments._concentration_replicate
+
+    def replicate(point, sample_seed, solver_seed):
+        start = time.monotonic()
+        value = real(point, sample_seed, solver_seed)
+        spans[sample_seed[0]].append((start, time.monotonic()))
+        return value
+
+    monkeypatch.setattr(experiments, "_concentration_replicate", replicate)
     results = [None, None]
 
     def run(i):
@@ -150,6 +163,10 @@ def test_overlapping_pooled_grids_share_the_pool(fresh_grids, submitted):
         caller.start()
     for caller in callers:
         caller.join(120)
+        assert not caller.is_alive()
+    first, second = sorted(spans.values(), key=min)
+    assert len(first) == len(second) == 6
+    assert max(end for _, end in first) <= min(start for start, _ in second)
     assert results == [measure_concentration(cfg, threads=1).to_csv()
                        for cfg in configs]
     # the workers forked once, for the first grid in
@@ -186,16 +203,16 @@ def test_worker_nonconvergence_is_a_failed_replicate(monkeypatch, fresh_grids,
     assert measure_concentration(cfg, threads=2).to_csv() == serial
     assert submitted.count("_concentration_body") == 6
 
-    # one replicate at a time, in this thread and through a job thread's pool
+    # one replicate at a time, in this thread and through a worker's pipe
     point = experiments._grid_points(cfg)[1]
     values = []
-    for pool in (None, fresh_grids._pool):
-        experiments._grid_thread.pool = pool
+    for end in (None, fresh_grids._workers[0][1]):
+        experiments._grid_thread.end = end
         try:
             values.append([experiments._concentration_replicate(
                 point, [2, 1, r, 0], [2, 1, r, 1]) for r in range(3)])
         finally:
-            experiments._grid_thread.pool = None
+            experiments._grid_thread.end = None
     assert np.isnan(values[0]).any()
     assert np.array_equal(values[0], values[1], equal_nan=True)
     assert submitted.count("_concentration_body") == 9
@@ -274,25 +291,28 @@ def _meet_in_worker(*args):
 
 def test_pooled_grid_runs_no_thread_but_its_job_threads(monkeypatch,
                                                         fresh_grids):
-    # a job thread sends its replicate straight down a worker's pipe: while
+    # a job thread sends its replicate straight down its worker's pipe: while
     # two replicates are in flight, in two workers, the calling process runs
-    # the grid's job threads and no other thread of its own
+    # the grid's job threads and no other thread of its own; a job thread
+    # that finds no slot left may end before its sibling does
     monkeypatch.setattr(experiments, "_usable_cores", lambda: 2)
     monkeypatch.setattr(sys.modules[__name__], "_MEET",
                         multiprocessing.get_context("fork").Barrier(2, timeout=30))
     before = set(threading.enumerate())
-    jobs, during = set(), []
+    during = []
 
     def replicate(point, sample_seed, solver_seed):
-        jobs.add(threading.current_thread())
         pid = experiments._offload(_meet_in_worker, point, sample_seed,
                                    solver_seed)
-        during.append(set(threading.enumerate()) - before)
+        during.append((threading.current_thread(),
+                       set(threading.enumerate()) - before))
         return pid
 
     pids, _ = experiments._run_grid([{"n": experiments._POOL_MIN_N}], 2, 0,
                                     replicate, 2)
-    assert len(jobs) == 2 and during == [jobs, jobs]
+    jobs = {job for job, _ in during}
+    assert len(jobs) == 2 and threading.current_thread() not in jobs
+    assert all({job} <= alive <= jobs for job, alive in during), during
     assert len(set(pids[0])) == 2 and os.getpid() not in pids[0]
 
 
@@ -322,10 +342,39 @@ def test_dead_worker_stops_the_grid_and_the_next_grid_replaces_it(
         exc = run_with_deadline(lambda: measure_concentration(cfg, threads=2))
     assert isinstance(exc, concurrent.futures.process.BrokenProcessPool)
     assert "worker process ended abruptly" in str(exc)
-    assert fresh_grids._pool is None
+    assert not fresh_grids._workers
     pooled = measure_concentration(cfg, threads=2).to_csv()
-    assert fresh_grids._pool is not None
+    assert fresh_grids._workers
     assert pooled == measure_concentration(cfg, threads=1).to_csv()
+
+
+def test_interrupt_joins_the_job_threads_and_keeps_the_workers(
+        monkeypatch, fresh_grids, submitted):
+    # a Ctrl-C in the calling thread mid-grid reaches the caller only after
+    # every job thread has ended, so none of them still talks to a worker,
+    # and the next grid runs on the same workers
+    cfg = ExperimentConfig(model="er", n_grid=(N,), d_grid=(2.0,), R=4, seed=1)
+    real = experiments._concentration_replicate
+
+    def replicate(point, sample_seed, solver_seed):
+        if sample_seed[2] == 1:  # the second replicate
+            _thread.interrupt_main()
+        return real(point, sample_seed, solver_seed)
+
+    before = threading.active_count()
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "_concentration_replicate", replicate)
+        with pytest.raises(KeyboardInterrupt):
+            try:
+                measure_concentration(cfg, threads=2)
+            finally:
+                alive = threading.active_count()
+    assert alive == before
+    workers = list(fresh_grids._workers)
+    assert (measure_concentration(cfg, threads=2).to_csv()
+            == measure_concentration(cfg, threads=1).to_csv())
+    assert fresh_grids._workers == workers and len(workers) == 2
+    assert submitted.count("_fork") == 1
 
 
 def test_pool_size_follows_the_usable_cores(monkeypatch, fresh_grids):
@@ -348,7 +397,7 @@ def test_pool_size_follows_the_usable_cores(monkeypatch, fresh_grids):
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     for threads in (None, 2):
         assert measure_concentration(cfg, threads).to_csv() == pooled
-    assert sizes == [min(64, cores)] and fresh_grids._pool is None
+    assert sizes == [min(64, cores)] and not fresh_grids._workers
 
 
 def _cli_env():
