@@ -254,8 +254,9 @@ def build_parser():
         description="Random-graph sampling, regularization, spectral "
                     "community detection, and concentration experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
-    threads_help = ("worker processes for grids with an n >= 1000, at most and by "
-                    "default one per usable core; the CSV does not depend on it")
+    threads_help = ("worker processes for grids of two replicates or more, at most "
+                    "and by default one per usable core; the CSV does not depend "
+                    "on it")
 
     p = sub.add_parser("gen", help="sample a graph and write TSV (+ labels)")
     p.add_argument("--model", default="er",

@@ -23,14 +23,14 @@ keep OpenBLAS's own setting.
 
 Solver processes: a process runs one grid at a time; a grid that comes in
 from another thread while one runs waits for it.  A grid pools when
-min(threads, usable cores) >= 2, it has two tasks or more and a point of
-n >= _POOL_MIN_N.  Then each replicate's whole body, sampling to scoring,
-runs in a worker process that _running_grids forked, at most one per usable
-core, with OpenBLAS at one thread.  Each worker sits behind one duplex pipe.
-The replicate function is still called by name, on one job thread per
-worker, which sends its worker the body, the point and the two seed lists
-and waits for the two floats without holding the GIL; they are the serial
-ones, bit for bit.  No other thread of the calling process takes part.
+min(threads, usable cores) >= 2 and it has two replicates or more.  Then
+each replicate's whole body, sampling to scoring, runs in a worker process
+that _running_grids forked, at most one per usable core, with OpenBLAS at
+one thread.  Each worker sits behind one duplex pipe.  The replicate
+function is still called by name, on one job thread per worker, which sends
+its worker the body, the point and the two seed lists and waits for the two
+floats without holding the GIL; they are the serial ones, bit for bit.  No
+other thread of the calling process takes part.
 Every other grid runs one replicate at a time on the calling thread:
 ARPACK's Lanczos steps (dsaupd) and the Python around them hold the GIL, so
 two threads of one process ran slower than one (README, Solver processes).
@@ -400,10 +400,6 @@ _running_grids = _RunningGrids()
 # _grid_thread.end: the pipe end of the worker that runs a job thread's
 # replicates, or None where they run in this process (_run_grid)
 _grid_thread = threading.local()
-# A pooled grid needs a point of at least this n.  Against serial runs a warm
-# pool of two workers won most rounds from n = 300 up, and all but one from
-# n = 1000 (README, Solver processes).
-_POOL_MIN_N = 1000
 
 
 def _offload(body, point, sample_seed, solver_seed):
@@ -440,11 +436,12 @@ def _run_grid(points, R, seed, replicate_fn, threads=None):
     [seed, gi, r, 1], so output order is fixed.
 
     threads is None (one per usable core) or an integer >= 1: the worker
-    processes of a pooled grid (module docstring), capped at the usable
-    cores.  A pooled grid runs one job thread per worker, any other grid
-    runs on the calling thread; each takes the next slot until none is
-    left.  Once a replicate raises, no replicate starts, and the grid raises
-    the failure of the lowest slot.
+    processes of a grid of two replicates or more, capped at the usable
+    cores; it pools where that leaves two or more (module docstring).  A
+    pooled grid runs one job thread per worker, any other grid runs on the
+    calling thread; each takes the next slot until none is left.  Once a
+    replicate raises, no replicate starts, and the grid raises the failure
+    of the lowest slot.
     """
     if threads is not None:
         _validate.integer("threads", threads, 1)
@@ -465,8 +462,8 @@ def _run_grid(points, R, seed, replicate_fn, threads=None):
                 return
 
     cores = _usable_cores()
-    pooled = len(tasks) > 1 and any(p.get("n", 0) >= _POOL_MIN_N for p in points)
-    with _running_grids(min(threads or cores, cores) if pooled else 1) as ends:
+    size = min(threads or cores, cores) if len(tasks) > 1 else 1
+    with _running_grids(size) as ends:
         jobs = [threading.Thread(target=run, args=(end,)) for end in ends]
         try:
             for job in jobs:
@@ -521,7 +518,7 @@ def measure_concentration(config, threads=None):
     ratio to every applicable closed-form bound at C = 1.  A replicate fails
     only when its solver does not converge: it is left out of every average,
     the tau row's included, and counted in a solver_failures row.
-    threads: worker processes for grids with an n >= 1000 (_run_grid).
+    threads: worker processes for grids of two replicates or more (_run_grid).
     """
     points = _grid_points(config)
     seed = config.seed
@@ -667,7 +664,7 @@ def phase_sweep(d, snr_grid, n=4000, R=50, method="both", tau_rho=0.25,
     recorded and skipped.  Methods: sign rule on the second-largest
     eigenvector of the degree-capped adjacency (cap 2a), and of the
     tau-regularized Laplacian with tau = tau_rho * mean degree.
-    threads: worker processes for grids with an n >= 1000 (_run_grid).
+    threads: worker processes for grids of two replicates or more (_run_grid).
     """
     if method not in ("both", *PHASE_METHODS):
         raise ValueError(f"method must be 'both' or one of {PHASE_METHODS}")
@@ -728,7 +725,7 @@ def bound_scorecard(n_grid, d_grid, R=20, seed=0, threads=None):
 
     Per grid point: the measured norm, the Seginer max-column statistic, each
     bound's value, and the empirical/bound ratio.
-    threads: worker processes for grids with an n >= 1000 (_run_grid).
+    threads: worker processes for grids of two replicates or more (_run_grid).
     """
     config = ExperimentConfig(model="er", n_grid=n_grid, d_grid=d_grid, R=R,
                               seed=seed)

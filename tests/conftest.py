@@ -5,12 +5,13 @@ import pytest
 from specgraph import experiments
 
 
-@pytest.fixture
+@pytest.fixture(autouse=True)
 def fresh_grids(monkeypatch):
-    """Running-grid state of this test's own, so that its solver workers
-    fork after the test's monkeypatches; they are ended at the end.  The
-    test fails if it leaves the grid lock held or a thread of its own alive,
-    a job thread that outlived its grid included."""
+    """Running-grid state of the test's own, for every test, so that its
+    solver workers fork after the test's monkeypatches, whatever ran
+    before; they are ended at the end.  The test fails if it leaves the grid
+    lock held or a thread of its own alive, a job thread that outlived its
+    grid included."""
     before = set(threading.enumerate())
     grids = experiments._RunningGrids()
     monkeypatch.setattr(experiments, "_running_grids", grids)

@@ -673,15 +673,16 @@ def test_solver_subpackages_load_on_first_use(tmp_path):
         ["reg", "--in", g, "--mode", "cap", "--out", str(tmp_path / "capped.tsv")],
         ["detect", "--in", g, "--method", "top-k-embedding", "--truth", g + ".labels"],
     ) == [[0, []], [0, []], [0, []], [0, [linalg, csgraph, cluster]]]
-    # below experiments._POOL_MIN_N a grid runs its replicates in its threads
+    # a grid sends its replicates to worker processes, and loads
+    # multiprocessing, only with two replicates or more at --threads 2; the
+    # workers then load the assignment solver, not the caller
+    phase = ["phase", "--d", "4", "--snr", "0,4", "--n", "60", "--R", "2",
+             "--seed", "0", "--threads"]
     assert _start_up(
-        tmp_path, ["phase", "--d", "4", "--snr", "0,4", "--n", "60", "--R", "2",
-                   "--seed", "0", "--threads", "2"],
-    ) == [[0, [linalg, csgraph]]]
-    assert _start_up(
-        tmp_path, ["sweep", "--n-grid", "1000", "--d-grid", "2", "--R", "2",
-                   "--seed", "0", "--threads", "2"],
-    ) == [[0, [linalg, "multiprocessing"]]]
+        tmp_path, ["sweep", "--n-grid", "1000", "--d-grid", "2", "--R", "1",
+                   "--seed", "0", "--threads", "2"], phase + ["1"],
+    ) == [[0, [linalg]], [0, [linalg, csgraph]]]
+    assert _start_up(tmp_path, phase + ["2"]) == [[0, [linalg, "multiprocessing"]]]
     assert _start_up(
         tmp_path, ["fig-eigvec", "--n", "30", "--seed", "0",
                    "--out", str(tmp_path / "table.csv")],

@@ -401,10 +401,11 @@ def _blas_counts_here(*args):
     return blas_counts(experiments._openblas_controls())
 
 
-def test_grid_pins_blas_to_one_thread(controls, fresh_grids):
+def test_grid_pins_blas_to_one_thread(controls):
     # a pooled grid forks its workers after the pin, and they inherit it
-    big = {"n": experiments._POOL_MIN_N}
-    for points, threads in (([{}, {}], 1), ([{}, {}], 2), ([big, big], 2)):
+    # unpooled: at threads=1, and a one-replicate grid at any threads
+    for points, R, threads, reads in (([{}, {}], 3, 1, 6), ([{}], 1, 2, 1),
+                                      ([{}, {}], 3, 2, 12)):
         seen = []
 
         def replicate(point, sample_seed, solver_seed):
@@ -414,9 +415,9 @@ def test_grid_pins_blas_to_one_thread(controls, fresh_grids):
                     _blas_counts_here, point, sample_seed, solver_seed))
             return 0.0, 0.0
 
-        experiments._run_grid(points, 3, 0, replicate, threads)
+        experiments._run_grid(points, R, 0, replicate, threads)
         # a pooled replicate reads the counts in the thread and the worker
-        assert seen == [[1] * len(controls)] * (12 if points[0] else 6)
+        assert seen == [[1] * len(controls)] * reads, (R, threads)
         assert blas_counts(controls) == [2] * len(controls)
 
 
@@ -453,8 +454,7 @@ def test_overlapping_grids_restore_blas_when_both_end(controls, fresh_grids,
         return 0.0, 0.0
 
     monkeypatch.setattr(experiments, "_usable_cores", lambda: 4)
-    big = [{"n": experiments._POOL_MIN_N}]
-    for points in (big, [{}]):
+    for threads in (3, 1):
         inside.clear()
         release.clear()
         carried.clear()
@@ -469,7 +469,7 @@ def test_overlapping_grids_restore_blas_when_both_end(controls, fresh_grids,
             assert blas_counts(controls) == [1] * len(controls)  # first runs
             releaser.start()
             assert run_with_deadline(
-                lambda: experiments._run_grid(points, 3, 0, second, 3)) is None
+                lambda: experiments._run_grid([{}], 3, 0, second, threads)) is None
         finally:
             release.set()
             releaser.cancel()
@@ -478,13 +478,13 @@ def test_overlapping_grids_restore_blas_when_both_end(controls, fresh_grids,
         assert not first.is_alive() and not releaser.is_alive()
         assert waited == [True] * 3
         ends = [end for _, end in fresh_grids._workers]
-        if points is big:
+        if threads == 3:
             # a pooled grid of three on four usable cores forks three workers
             # and starts one job thread for each, none of them the caller's
             assert len(ends) == 3 and set(carried) <= set(ends)
             assert 1 <= len(idents) <= 3
         else:
-            # an unpooled grid runs on its calling thread
+            # a grid at threads=1 runs on its calling thread
             assert carried == [None] * 3 and len(idents) == 1
         assert blas_counts(controls) == [2] * len(controls)
 
@@ -501,14 +501,12 @@ def test_grid_without_blas_controls_leaves_blas_alone(controls, monkeypatch):
     assert seen == [[2] * len(controls)] * 2
 
 
-def test_grid_cancels_queued_replicates_after_one_raises(monkeypatch,
-                                                         fresh_grids):
+def test_grid_cancels_queued_replicates_after_one_raises(monkeypatch):
     # once a replicate raises, no replicate starts, and the grid raises the
-    # failure of the lowest slot; an unpooled grid runs on the calling
-    # thread, a pooled one on its job threads
+    # failure of the lowest slot; a grid at threads=1 or of one replicate
+    # runs on the calling thread, a pooled one on its job threads
     monkeypatch.setattr(experiments, "_usable_cores", lambda: 2)
-    big = {"n": experiments._POOL_MIN_N}
-    for points, threads in (([{}], 1), ([{}], 2), ([big], 2)):
+    for R, threads in ((200, 1), (1, 2), (200, 2)):
         started = []
 
         def replicate(point, sample_seed, solver_seed):
@@ -520,8 +518,8 @@ def test_grid_cancels_queued_replicates_after_one_raises(monkeypatch,
             return 0.0, 0.0
 
         with pytest.raises(RuntimeError, match="replicate 0 failed"):
-            experiments._run_grid(points, 200, 0, replicate, threads)
-        if points[0]:
+            experiments._run_grid([{}], R, 0, replicate, threads)
+        if R > 1 and threads > 1:
             assert 1 <= len(started) <= threads + 2, len(started)
             assert threading.current_thread() not in started
         else:
@@ -530,9 +528,10 @@ def test_grid_cancels_queued_replicates_after_one_raises(monkeypatch,
 
 def test_grid_job_threads_follow_its_worker_processes(monkeypatch,
                                                       fresh_grids):
-    # threads counts worker processes: a grid without them runs one replicate
-    # at a time on the calling thread, and a pooled grid starts one job
-    # thread per worker, not one per requested thread
+    # threads counts worker processes: a grid without them (threads=1, or
+    # one replicate) runs one replicate at a time on the calling thread, and
+    # a pooled grid starts one job thread per worker, not one per requested
+    # thread
     idents = []
 
     def replicate(point, sample_seed, solver_seed):
@@ -540,19 +539,18 @@ def test_grid_job_threads_follow_its_worker_processes(monkeypatch,
         time.sleep(0.01)  # keeps a job thread busy while the next one starts
         return 0.0, 0.0
 
-    experiments._run_grid([{}, {}], 4, 0, replicate, 3)
-    assert set(idents) == {threading.get_ident()}
+    experiments._run_grid([{}, {}], 4, 0, replicate, 1)
+    experiments._run_grid([{}], 1, 0, replicate, 3)
+    assert idents == [threading.get_ident()] * 9 and not fresh_grids._workers
     idents.clear()
     monkeypatch.setattr(experiments, "_usable_cores", lambda: 2)
-    big = {"n": experiments._POOL_MIN_N}
-    experiments._run_grid([big, big], 4, 0, replicate, 64)
+    experiments._run_grid([{}, {}], 4, 0, replicate, 64)
     assert len(fresh_grids._workers) == 2
     assert 1 <= len(set(idents)) <= 2
     assert threading.get_ident() not in idents
 
 
-def test_pooled_grid_runs_each_slot_once_under_contention(monkeypatch,
-                                                          fresh_grids):
+def test_pooled_grid_runs_each_slot_once_under_contention(monkeypatch):
     # more job threads than cores take slots from one shared iterator, with
     # a short switch interval: no slot is lost or run twice
     monkeypatch.setattr(experiments, "_usable_cores", lambda: 4)
@@ -565,8 +563,7 @@ def test_pooled_grid_runs_each_slot_once_under_contention(monkeypatch,
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        big = {"n": experiments._POOL_MIN_N}
-        values, points = experiments._run_grid([big, big], 300, 0, replicate, 4)
+        values, points = experiments._run_grid([{}, {}], 300, 0, replicate, 4)
     finally:
         sys.setswitchinterval(interval)
     assert sorted(runs) == [(gi, r) for gi in range(2) for r in range(300)]

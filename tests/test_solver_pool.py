@@ -1,9 +1,9 @@
 """Grid replicates on forked worker processes (experiments._RunningGrids).
 
-A grid pools when min(threads, usable cores) >= 2, it has two tasks or more
-and a point of n >= experiments._POOL_MIN_N; then each of its replicates
-sends its whole body to a worker process.  The replicate function itself is
-still called in the parent, which gets back two floats.
+A grid pools when min(threads, usable cores) >= 2 and it has two replicates
+or more; then each of its replicates sends its whole body to a worker
+process.  The replicate function itself is still called in the parent,
+which gets back two floats.
 """
 
 import _thread
@@ -34,7 +34,7 @@ from specgraph.experiments import (
 from specgraph.models import sample
 
 PYTEST_PID = os.getpid()
-N = 1200  # above experiments._POOL_MIN_N
+N = 1200  # the n the PINNED bytes were recorded at
 
 
 @pytest.fixture
@@ -73,12 +73,12 @@ PINNED = {
 }
 
 
-def grid(name, threads):
+def grid(name, threads, n=N):
     if name == "scorecard":
-        return bound_scorecard((N,), (3.0,), R=4, seed=5, threads=threads)
+        return bound_scorecard((n,), (3.0,), R=4, seed=5, threads=threads)
     if name == "phase":
-        return phase_sweep(6.0, (0.0, 5.0), n=N, R=2, seed=5, threads=threads)
-    cfg = ExperimentConfig(model="er", n_grid=(N,), d_grid=(2.0, 4.0), R=3,
+        return phase_sweep(6.0, (0.0, 5.0), n=n, R=2, seed=5, threads=threads)
+    cfg = ExperimentConfig(model="er", n_grid=(n,), d_grid=(2.0, 4.0), R=3,
                            seed=5, regularization=name)
     return measure_concentration(cfg, threads=threads)
 
@@ -93,6 +93,38 @@ def test_pooled_grid_bytes_match_in_thread_and_pinned(name, submitted):
         assert sha(grid(name, threads)) == PINNED[name], threads
         pooled = submitted.count(body)
         assert pooled == (0 if threads == 1 else replicates), (threads, submitted)
+
+
+# sha256 of the same CSVs at n = 300, at threads=1, from the code that ran
+# grids below n = 1000 in the calling thread at any threads
+SMALL_PINNED = {
+    "degree-cap": "82ed361ac6f23a48418b73db13ff9fe16a0599b3f03ff5b7d95806960ab7e65b",
+    "phase": "31113430003dc07022aaa9fe56de9f60600927e8e860f8e8c67a465d7306a65f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_PINNED))
+def test_small_grids_run_in_the_workers_with_their_serial_bytes(name,
+                                                                monkeypatch):
+    # the spy goes in before the workers fork, and tells the parent which
+    # process sampled each replicate's graph
+    pids = multiprocessing.get_context("fork").SimpleQueue()
+
+    def spy(*args):
+        pids.put(os.getpid())
+        return sample(*args)
+
+    monkeypatch.setattr(experiments, "sample", spy)
+    for threads in (1, 2, 3):
+        assert sha(grid(name, threads, n=300)) == SMALL_PINNED[name], threads
+        seen = []
+        while not pids.empty():
+            seen.append(pids.get())
+        assert len(seen) == (8 if name == "phase" else 6), threads
+        if threads == 1:
+            assert set(seen) == {os.getpid()}
+        else:
+            assert os.getpid() not in seen, (threads, seen)
 
 
 def test_pooled_replicates_run_in_the_calling_process(monkeypatch, submitted):
@@ -116,7 +148,7 @@ def test_pooled_replicates_run_in_the_calling_process(monkeypatch, submitted):
             submitted.count("_phase_body")) == (2 * 4, 4 * 3)
 
 
-def test_pooled_replicate_bodies_leave_the_parent(monkeypatch, fresh_grids):
+def test_pooled_replicate_bodies_leave_the_parent(monkeypatch):
     # the workers fork after this patch and inherit the spy, but what it
     # records there stays in the worker
     calls = []
@@ -137,7 +169,6 @@ def test_pooled_replicate_bodies_leave_the_parent(monkeypatch, fresh_grids):
 
 
 def test_overlapping_pooled_grids_run_one_after_the_other(monkeypatch,
-                                                          fresh_grids,
                                                           submitted):
     # two callers' grids at once: a process runs one grid at a time, so the
     # second one waits for the first, and both keep their bytes
@@ -175,20 +206,18 @@ def test_overlapping_pooled_grids_run_one_after_the_other(monkeypatch,
 
 
 def test_pooled_grids_send_every_replicate(submitted):
-    cfg = ExperimentConfig(model="er", n_grid=(experiments._POOL_MIN_N - 1,),
-                           d_grid=(2.0,), R=4, seed=1)
-    measure_concentration(cfg, threads=2)
-    # a one-task grid stays in the thread at any n
+    # a one-replicate grid stays in the thread at any n and threads, and so
+    # does every grid at threads=1
     cfg = ExperimentConfig(model="er", n_grid=(N,), d_grid=(2.0,), R=1, seed=1)
     measure_concentration(cfg, threads=2)
+    cfg = ExperimentConfig(model="er", n_grid=(50, N), d_grid=(2.0,), R=3,
+                           seed=1)
+    serial = measure_concentration(cfg, threads=1).to_csv()
     assert submitted == []
-    # one point at n >= _POOL_MIN_N pools the grid, and then every replicate
-    # sends its body, the smaller point's too
-    cfg = ExperimentConfig(model="er", n_grid=(experiments._POOL_MIN_N - 1, N),
-                           d_grid=(2.0,), R=3, seed=1)
-    pooled = measure_concentration(cfg, threads=2).to_csv()
+    # at threads=2 a grid of two replicates or more pools, and then every
+    # replicate sends its body, at every n
+    assert measure_concentration(cfg, threads=2).to_csv() == serial
     assert submitted.count("_concentration_body") == 6
-    assert pooled == measure_concentration(cfg, threads=1).to_csv()
 
 
 def test_worker_nonconvergence_is_a_failed_replicate(monkeypatch, fresh_grids,
@@ -232,8 +261,7 @@ def _exit_in_worker(*args, **kwargs):
     os._exit(3)
 
 
-def test_worker_exception_reaches_the_grid_with_its_type(monkeypatch,
-                                                         fresh_grids):
+def test_worker_exception_reaches_the_grid_with_its_type(monkeypatch):
     # the workers fork after this patch and inherit it
     monkeypatch.setattr(spla, "eigsh", _raise_in_worker)
     cfg = ExperimentConfig(model="er", n_grid=(N,), d_grid=(2.0,), R=2, seed=1)
@@ -266,13 +294,12 @@ def test_reply_that_does_not_pickle_reaches_the_grid(monkeypatch, fresh_grids):
     # a value or exception that cannot cross the pipe, either way, is an
     # error of its grid; the workers stay and serve the next grid
     monkeypatch.setattr(experiments, "_usable_cores", lambda: 2)
-    big = {"n": experiments._POOL_MIN_N}
     for body, text in ((_return_a_lock, "_thread.lock"),
                        (_raise_with_a_lock, "_thread.lock"),
                        (_raise_two_arg_failure, "second")):
         replicate = functools.partial(experiments._offload, body)
         exc = run_with_deadline(
-            lambda: experiments._run_grid([big], 2, 0, replicate, 2))
+            lambda: experiments._run_grid([{}], 2, 0, replicate, 2))
         assert isinstance(exc, TypeError) and text in str(exc), (body, exc)
     workers = fresh_grids._workers
     cfg = ExperimentConfig(model="er", n_grid=(N,), d_grid=(2.0,), R=2, seed=1)
@@ -289,8 +316,7 @@ def _meet_in_worker(*args):
     return os.getpid(), 0.0
 
 
-def test_pooled_grid_runs_no_thread_but_its_job_threads(monkeypatch,
-                                                        fresh_grids):
+def test_pooled_grid_runs_no_thread_but_its_job_threads(monkeypatch):
     # a job thread sends its replicate straight down its worker's pipe: while
     # two replicates are in flight, in two workers, the calling process runs
     # the grid's job threads and no other thread of its own; a job thread
@@ -308,8 +334,7 @@ def test_pooled_grid_runs_no_thread_but_its_job_threads(monkeypatch,
                        set(threading.enumerate()) - before))
         return pid
 
-    pids, _ = experiments._run_grid([{"n": experiments._POOL_MIN_N}], 2, 0,
-                                    replicate, 2)
+    pids, _ = experiments._run_grid([{}], 2, 0, replicate, 2)
     jobs = {job for job, _ in during}
     assert len(jobs) == 2 and threading.current_thread() not in jobs
     assert all({job} <= alive <= jobs for job, alive in during), during
