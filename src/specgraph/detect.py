@@ -121,7 +121,7 @@ def spectral_cluster(op, K=2, mode="laplacian-second-largest", seed=None):
     """
     if mode not in MODES:
         raise ValueError(f"unknown method {mode!r}; choose from {MODES}")
-    _validate.at_least("K", K, 2)
+    K = _validate.integer("K", K, 2)
     if mode == "top-k-embedding":
         pairs = top_eigs(op, K, which="largest-algebraic", seed=seed)
         U = np.column_stack([p.vector for p in pairs])

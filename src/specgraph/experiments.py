@@ -214,8 +214,8 @@ def _grid_points(config):
 
 
 def _concentration_replicate(point, sample_seed, solver_seed):
-    """One sampled graph -> (deviation norm, tau used); the norm is nan where
-    the solver does not converge, and tau is nan outside tau-laplacian."""
+    """One sampled graph -> (deviation norm, tau used); tau is nan outside
+    tau-laplacian."""
     return _offload(_concentration_body, point, sample_seed, solver_seed)
 
 
@@ -235,11 +235,8 @@ def _concentration_body(point, sample_seed, solver_seed):
             g = remove_high_degree(g, point["cap_multiplier"] * point["d"])
         op = SymmetricOperator.centered(g, E)
         basis = None
-    try:
-        pair = top_eigs(op, 1, which="largest-magnitude", tol=_SOLVER_TOL,
-                        seed=solver_seed, max_basis=basis)[0]
-    except NonConvergenceError:
-        return math.nan, tau
+    pair = top_eigs(op, 1, which="largest-magnitude", tol=_SOLVER_TOL,
+                    seed=solver_seed, max_basis=basis)[0]
     return abs(pair.value), tau
 
 
@@ -439,9 +436,13 @@ def _run_grid(points, R, seed, replicate_fn, threads=None):
     processes of a grid of two replicates or more, capped at the usable
     cores; it pools where that leaves two or more (module docstring).  A
     pooled grid runs one job thread per worker, any other grid runs on the
-    calling thread; each takes the next slot until none is left.  Once a
-    replicate raises, no replicate starts, and the grid raises the failure
-    of the lowest slot.
+    calling thread; each takes the next slot until none is left.
+
+    The failure rule lives here only.  A replicate that raises
+    NonConvergenceError has failed: its slot keeps the nan it was filled
+    with, in both arrays, and the grid goes on.  Any other exception stops
+    the grid: once a replicate raises one, no replicate starts, and the grid
+    raises the failure of the lowest slot.
     """
     if threads is not None:
         _validate.integer("threads", threads, 1)
@@ -457,6 +458,8 @@ def _run_grid(points, R, seed, replicate_fn, threads=None):
             try:
                 out[:, gi, r] = replicate_fn(points[gi], [seed, gi, r, 0],
                                              [seed, gi, r, 1])
+            except NonConvergenceError:
+                pass  # a failed replicate: its slot stays nan
             except BaseException as exc:
                 failures[gi, r] = exc
                 return
@@ -515,9 +518,9 @@ def measure_concentration(config, threads=None):
     A' is the regularized adjacency (or the regularized Laplacian pair, where
     the statistic becomes ||L(A_tau) - L(E A_tau)||).  Per grid point the
     result carries the mean/stderr of the norm, its ratio to sqrt(d), and the
-    ratio to every applicable closed-form bound at C = 1.  A replicate fails
-    only when its solver does not converge: it is left out of every average,
-    the tau row's included, and counted in a solver_failures row.
+    ratio to every applicable closed-form bound at C = 1.  A failed replicate
+    (_run_grid) is nan in both arrays: it is left out of every average, the
+    tau row's included, and counted in a solver_failures row.
     threads: worker processes for grids of two replicates or more (_run_grid).
     """
     points = _grid_points(config)
@@ -528,7 +531,7 @@ def measure_concentration(config, threads=None):
     for gi, point in enumerate(points):
         mean, stderr, used = _mean_stderr(norms[gi])
         records.append(_row(point, seed, "deviation_norm", mean, stderr, used))
-        tau_mean = _mean_stderr(taus[gi][np.isfinite(norms[gi])])[0]
+        tau_mean = _mean_stderr(taus[gi])[0]
         if config.regularization == "tau-laplacian":
             records.append(_row(point, seed, "tau", tau_mean, "", used))
         if mean != "":
@@ -593,6 +596,7 @@ def eigenvector_study(n=50, a=5.0, b=0.1, rho=0.1, seed=0):
     normalized, by each C's smallest node; top_eigs solves for the rest.
     """
     n = _validate.integer("n", n, 3)  # each operator solves for k = 3 pairs
+    seed = _validate.integer("seed", seed, 0)
     g, labels = sample(PlantedPartition(a, b), n, [seed, 0])
     tau = choose_tau(g, rho)
     # imported on first use (README, Start-up)
@@ -625,8 +629,7 @@ PHASE_METHODS = ("reg-adjacency", "reg-laplacian")
 
 
 def _phase_replicate(point, sample_seed, solver_seed):
-    """One sampled graph -> (sign-rule accuracy, nan); nan where the solver
-    does not converge."""
+    """One sampled graph -> (sign-rule accuracy, nan)."""
     return _offload(_phase_body, point, sample_seed, solver_seed)
 
 
@@ -641,16 +644,12 @@ def _phase_body(point, sample_seed, solver_seed):
     # threshold (snr <= 2) by up to 8 nodes.
     tol = 1e-4
     g, labels = sample(point["spec"], point["n"], sample_seed)
-    try:
-        if point["method"] == "reg-adjacency":
-            capped, _ = degree_regularize(g, point["a"], point["cap_multiplier"])
-            op = SymmetricOperator.from_graph(capped)
-        else:
-            op = regularized_laplacian(g, choose_tau(g, point["tau_rho"]))
-        pairs = top_eigs(op, 2, which="largest-algebraic", tol=tol,
-                         seed=solver_seed)
-    except NonConvergenceError:
-        return math.nan, math.nan
+    if point["method"] == "reg-adjacency":
+        capped, _ = degree_regularize(g, point["a"], point["cap_multiplier"])
+        op = SymmetricOperator.from_graph(capped)
+    else:
+        op = regularized_laplacian(g, choose_tau(g, point["tau_rho"]))
+    pairs = top_eigs(op, 2, which="largest-algebraic", tol=tol, seed=solver_seed)
     pred = sign_partition(pairs[1].vector)
     return 1.0 - misclassification_rate(pred, labels), math.nan
 
@@ -704,8 +703,7 @@ def phase_sweep(d, snr_grid, n=4000, R=50, method="both", tau_rho=0.25,
 # ---------------------------------------------------------------------------
 
 def _scorecard_replicate(point, sample_seed, solver_seed):
-    """One sampled graph -> (deviation norm, Seginer statistic); both nan
-    where the solver does not converge."""
+    """One sampled graph -> (deviation norm, Seginer statistic)."""
     return _offload(_scorecard_body, point, sample_seed, solver_seed)
 
 
@@ -713,10 +711,7 @@ def _scorecard_body(point, sample_seed, solver_seed):
     g, labels = sample(point["spec"], point["n"], sample_seed)
     E = expected_matrix(point["spec"], labels)
     op = SymmetricOperator.centered(g, E)
-    try:
-        norm = spectral_norm(op, _SOLVER_TOL, solver_seed)
-    except NonConvergenceError:
-        return math.nan, math.nan
+    norm = spectral_norm(op, _SOLVER_TOL, solver_seed)
     return norm, bounds_mod.seginer_stat(g, E)
 
 

@@ -225,7 +225,7 @@ def top_eigs(op, k, which="largest-algebraic", tol=1e-8, seed=None, max_basis=No
 
     Args:
         op: SymmetricOperator.
-        k: number of eigenpairs.
+        k: number of eigenpairs, an integer in [1, n].
         which: "largest-algebraic", "smallest-algebraic", or "largest-magnitude".
         tol: finite positive residual tolerance, ||M v - theta v|| <=
             tol * max(1, |theta|), recomputed for every returned pair.  It
@@ -249,6 +249,7 @@ def top_eigs(op, k, which="largest-algebraic", tol=1e-8, seed=None, max_basis=No
         raise ValueError(f"which must be one of {tuple(_WHICH)}")
     _validate.real("tol", tol)  # tol = inf would pass every residual check below
     n = op.n
+    k = _validate.integer("k", k)
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     rng = np.random.default_rng(_DEFAULT_SEED if seed is None else seed)

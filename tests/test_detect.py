@@ -298,5 +298,9 @@ def test_cluster_validation():
         spectral_cluster(op, mode="wat")
     with pytest.raises(ValueError):
         spectral_cluster(op, K=1)
+    for K in (2.0, True):
+        for mode in ("top-k-embedding", "laplacian-second-largest"):
+            with pytest.raises(ValueError, match="K must be an integer"):
+                spectral_cluster(op, K=K, mode=mode)
     with pytest.raises(ValueError):
         spectral_cluster(op, K=3, mode="laplacian-second-largest")

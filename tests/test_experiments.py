@@ -607,7 +607,8 @@ def test_eigenvector_study_table_shape_and_csv():
 
 
 def test_eigenvector_study_needs_three_nodes(monkeypatch):
-    # each operator solves for three eigenpairs; the rule holds before sampling
+    # each operator solves for three eigenpairs; the rules on n and on the
+    # seed hold before sampling
     def no_sample(*args):
         raise AssertionError("a graph was sampled")
     monkeypatch.setattr(experiments, "sample", no_sample)
@@ -615,6 +616,11 @@ def test_eigenvector_study_needs_three_nodes(monkeypatch):
                       (2.5, "n must be an integer"), (True, "n must be an integer")):
         with pytest.raises(ValueError, match=needle):
             eigenvector_study(n=n, a=1.0, b=0.1)
+    for seed, needle in ((-1, "seed must be nonnegative, got -1"),
+                         (1.5, "seed must be an integer"),
+                         (True, "seed must be an integer")):
+        with pytest.raises(ValueError, match=needle):
+            eigenvector_study(a=1.0, b=0.1, seed=seed)
     # no solve keeps a basis of n vectors, so there is no upper limit
     monkeypatch.undo()
     assert eigenvector_study(n=4097, a=1.0, b=0.1).table.shape == (4097, 6)

@@ -32,6 +32,7 @@ from specgraph.experiments import (
     phase_sweep,
 )
 from specgraph.models import sample
+from specgraph.spectral import NonConvergenceError
 
 PYTEST_PID = os.getpid()
 N = 1200  # the n the PINNED bytes were recorded at
@@ -232,19 +233,58 @@ def test_worker_nonconvergence_is_a_failed_replicate(monkeypatch, fresh_grids,
     assert measure_concentration(cfg, threads=2).to_csv() == serial
     assert submitted.count("_concentration_body") == 6
 
-    # one replicate at a time, in this thread and through a worker's pipe
+    # one replicate at a time, in this thread and through a worker's pipe: a
+    # replicate that does not converge raises NonConvergenceError, of the
+    # same type on both sides, and _run_grid turns it into a nan slot
     point = experiments._grid_points(cfg)[1]
-    values = []
+    outcomes = []
     for end in (None, fresh_grids._workers[0][1]):
         experiments._grid_thread.end = end
         try:
-            values.append([experiments._concentration_replicate(
-                point, [2, 1, r, 0], [2, 1, r, 1]) for r in range(3)])
+            for r in range(3):
+                try:
+                    outcomes.append(repr(experiments._concentration_replicate(
+                        point, [2, 1, r, 0], [2, 1, r, 1])))
+                except NonConvergenceError as exc:
+                    outcomes.append(type(exc))
         finally:
             experiments._grid_thread.end = None
-    assert np.isnan(values[0]).any()
-    assert np.array_equal(values[0], values[1], equal_nan=True)
+    assert NonConvergenceError in outcomes[:3]
+    assert outcomes[:3] == outcomes[3:]
     assert submitted.count("_concentration_body") == 9
+
+
+def _fail_chosen_slots(point, sample_seed, solver_seed):
+    """(process id, 10 gi + r) of slot [gi, r], unless the point names r
+    among its nonconvergent or broken replicates."""
+    gi, r = sample_seed[1:3]
+    if r in point.get("nonconvergent", ()):
+        raise NonConvergenceError(f"slot {gi}, {r} did not converge")
+    if r in point.get("broken", ()):
+        raise RuntimeError(f"slot {gi}, {r} is broken")
+    return float(os.getpid()), float(10 * gi + r)
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+def test_grid_turns_nonconvergence_into_nan_slots(monkeypatch, threads):
+    # _run_grid alone decides a replicate's status: NonConvergenceError
+    # leaves its slot nan in both arrays and the grid goes on, in this thread
+    # and from a worker; any other exception still stops the grid
+    monkeypatch.setattr(experiments, "_usable_cores", lambda: 2)
+    replicate = functools.partial(experiments._offload, _fail_chosen_slots)
+    points = [{"nonconvergent": (1, 3)}, {}, {"nonconvergent": range(4)}]
+    pids, slots = experiments._run_grid(points, 4, 0, replicate, threads)
+    failed = np.zeros((3, 4), dtype=bool)
+    failed[0, [1, 3]] = failed[2] = True
+    assert np.isnan(pids[failed]).all() and np.isnan(slots[failed]).all()
+    expected = 10 * np.arange(3)[:, None] + np.arange(4)
+    assert np.array_equal(slots[~failed], expected[~failed])
+    in_parent = pids[~failed] == os.getpid()
+    assert in_parent.all() if threads == 1 else not in_parent.any()
+
+    points[1] = {"broken": (2,)}
+    with pytest.raises(RuntimeError, match="slot 1, 2 is broken"):
+        experiments._run_grid(points, 4, 0, replicate, threads)
 
 
 class WorkerFailure(Exception):

@@ -322,6 +322,12 @@ def test_top_eigs_validation_and_nonconvergence():
         top_eigs(op, 9)
     with pytest.raises(ValueError):
         top_eigs(op, 1, which="wat")
+    # a non-integral k never reaches ARPACK, which fails on it without a message
+    for k in (2.0, True, "2"):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            top_eigs(op, k)
+    with pytest.raises(ValueError, match=r"k must lie in \[1, 8\], got 9"):
+        top_eigs(op, np.int64(9))
     rng = np.random.default_rng(1)
     M = rng.standard_normal((60, 60))
     M = 0.5 * (M + M.T)
