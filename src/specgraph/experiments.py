@@ -591,27 +591,16 @@ def eigenvector_study(n=50, a=5.0, b=0.1, rho=0.1, seed=0):
     misclassification pair scores the sign rule on the second eigenvector of
     each operator against the planted labels.
 
-    L(A)'s eigenvalue 1 has one eigenvector D^{1/2} 1_C per component C with
-    an edge (Chung 1997, ch. 1).  The plain columns start with these,
-    normalized, by each C's smallest node; top_eigs solves for the rest.
+    The plain columns start with L(A)'s eigenvalue-1 vectors, one per
+    component with an edge, which top_eigs takes in closed form from
+    laplacian (regularize._unit_pairs).
     """
     n = _validate.integer("n", n, 3)  # each operator solves for k = 3 pairs
     seed = _validate.integer("seed", seed, 0)
     g, labels = sample(PlantedPartition(a, b), n, [seed, 0])
     tau = choose_tau(g, rho)
-    # imported on first use (README, Start-up)
-    from scipy.sparse.csgraph import connected_components
-    _, comp = connected_components(g.adjacency(), directed=False)
-    root = np.sqrt(g.degrees())
-    found, first = np.unique(comp[root > 0], return_index=True)
-    cols, plain = [], laplacian(g)
-    for c in found[np.argsort(first)][:3]:
-        cols.append(np.where(comp == c, root, 0.0) / np.linalg.norm(root[comp == c]))
-        # moves it from eigenvalue 1 to -2, below the spectrum
-        plain -= SymmetricOperator.compose(n, rank_one=3.0, scale=cols[-1])
-    if len(cols) < 3:
-        cols += [_canonical_sign(p.vector) for p in top_eigs(
-            plain, 3 - len(cols), tol=1e-10, seed=[seed, 1])]
+    cols = [_canonical_sign(p.vector) for p in top_eigs(
+        laplacian(g), 3, tol=1e-10, seed=[seed, 1])]
     cols += [_canonical_sign(p.vector) for p in top_eigs(
         regularized_laplacian(g, tau), 3, tol=1e-10, seed=[seed, 2])]
     table = np.column_stack(cols)

@@ -95,7 +95,7 @@ class Graph:
 
     Args:
         n: number of nodes.
-        i, j: edge endpoint arrays with i < j entrywise.
+        i, j: integer edge endpoint arrays with i < j entrywise.
         w: edge weights in (0, 1]; freshly sampled graphs have weight 1.0.
 
     This class alone knows the edge layout.  Edges are kept sorted by the key
@@ -106,11 +106,17 @@ class Graph:
     """
 
     def __init__(self, n, i, j, w):
+        # the int64 cast below truncates floats and takes bools and digit
+        # strings; numpy makes an empty list float64, which stays allowed
+        dtypes = [a.dtype for a in map(np.asarray, (i, j)) if a.size]
         try:
             i = np.asarray(i, dtype=np.int64)
             j = np.asarray(j, dtype=np.int64)
         except OverflowError:  # an endpoint beyond int64
             raise ValueError("edge endpoint out of range") from None
+        bad = [t for t in dtypes if t.kind not in "iu"]
+        if bad:
+            raise ValueError(f"edge endpoints must be integers, got {bad[0]}")
         w = np.asarray(w, dtype=np.float64)
         _validate.at_least("n", n, 0)
         if n > _MAX_N:

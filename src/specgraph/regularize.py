@@ -8,6 +8,7 @@ Laplacian L(A_tau) built from A_tau = A + (tau/n) 11^T.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import _validate
 from .models import Graph
-from .spectral import SymmetricOperator
+from .spectral import EigenPair, SymmetricOperator
 
 
 @dataclass
@@ -128,7 +129,7 @@ def _normalized(n, rows, tau, **part):
 def laplacian(graph):
     """Normalized Laplacian D^{-1/2} A D^{-1/2}: regularized_laplacian at
     tau = 0, where an isolated vertex gets scale 0."""
-    return _normalized(graph.n, graph.degrees(), 0.0, sparse=graph.adjacency())
+    return regularized_laplacian(graph, 0.0)
 
 
 def tau_regularize(graph, tau):
@@ -140,10 +141,39 @@ def tau_regularize(graph, tau):
 
 def regularized_laplacian(graph, tau):
     """L(A_tau): diagonal scaling (d_i + tau)^{-1/2} around A + (tau/n) 11^T;
-    at tau = 0 it is laplacian(graph) bit for bit (an isolated vertex's row
-    and column are 0)."""
+    at tau = 0 an isolated vertex's row and column are 0, and the operator
+    knows its eigenvalue-1 pairs (_unit_pairs), which top_eigs takes."""
     _validate.real("tau", tau, zero_ok=True)
-    return _normalized(graph.n, graph.degrees(), tau, sparse=graph.adjacency())
+    rows, adjacency = graph.degrees(), graph.adjacency()
+    op = _normalized(graph.n, rows, tau, sparse=adjacency)
+    if tau == 0:
+        op._top_pairs = functools.partial(_unit_pairs, op.terms, adjacency, rows)
+    return op
+
+
+def _unit_pairs(terms, adjacency, rows, k):
+    """L(A)'s top pairs in closed form: eigenvalue 1, the top of the spectrum,
+    has one eigenvector D^{1/2} 1_C per component C with an edge (Chung 1997,
+    ch. 1).  Returns the first min(k, m) of the m vectors, normalized, by each
+    C's smallest node, as pairs of value 1.0; and, when m < k, L(A) with all
+    m moved to -2, below the spectrum, for the k - m pairs left (else None).
+    It never builds more than k vectors, however many components there are.
+    """
+    # imported on first use (README, Start-up)
+    from scipy.sparse.csgraph import connected_components
+
+    _, comp = connected_components(adjacency, directed=False)
+    root = np.sqrt(rows)
+    found, first = np.unique(comp[root > 0], return_index=True)
+    pairs = [EigenPair(1.0, np.where(comp == c, root, 0.0)
+                       / np.linalg.norm(root[comp == c]))
+             for c in found[np.argsort(first)][:k]]
+    if len(found) >= k:
+        return pairs, None
+    rest = SymmetricOperator(len(rows), terms)
+    for p in pairs:
+        rest -= SymmetricOperator.compose(rest.n, rank_one=3.0, scale=p.vector)
+    return pairs, rest
 
 
 def expected_regularized_laplacian(expected, tau):

@@ -84,6 +84,9 @@ class SymmetricOperator:
         self.n = int(n)
         self.terms = list(terms)
         self._folded = None
+        # k -> (closed-form top pairs, operator for the rest or None): set
+        # on L(A) only (regularize), and no derived operator inherits it
+        self._top_pairs = None
 
     @classmethod
     def compose(cls, n, sparse=None, expected=None, rank_one=0.0, scale=None):
@@ -221,7 +224,9 @@ def top_eigs(op, k, which="largest-algebraic", tol=1e-8, seed=None, max_basis=No
     Runs ARPACK's implicitly restarted Lanczos (scipy's eigsh) on op.matvec.
     The seed draws the start vector, and the same generator supplies every
     vector ARPACK draws on restart, so a seed fixes the result bit for bit.
-    For k >= n - 1, which ARPACK refuses, the operator is densified instead.
+    On L(A) (regularize.laplacian) a largest-algebraic solve takes the
+    eigenvalue-1 pairs in closed form and solves only for the rest.  For
+    n - 1 or more pairs to solve, which ARPACK refuses, it densifies instead.
 
     Args:
         op: SymmetricOperator.
@@ -231,9 +236,7 @@ def top_eigs(op, k, which="largest-algebraic", tol=1e-8, seed=None, max_basis=No
             tol * max(1, |theta|), recomputed for every returned pair.  It
             bounds each returned pair's residual, not which member of a
             tight cluster is found: a loose largest-magnitude solve can
-            return a genuine eigenpair just below the top one.  Nor does it
-            bound multiplicity: at the default basis L(A)'s eigenvalue 1,
-            repeated once per component with an edge, can come back once.
+            return a genuine eigenpair just below the top one.
         seed: start-vector seed.  Another seed or tol can change the
             returned pairs (within a cluster, not only within tol).
         max_basis: Lanczos basis size (ARPACK's ncv), clipped to k < ncv <= n;
@@ -254,28 +257,34 @@ def top_eigs(op, k, which="largest-algebraic", tol=1e-8, seed=None, max_basis=No
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     rng = np.random.default_rng(_DEFAULT_SEED if seed is None else seed)
     v0 = rng.standard_normal(n)
-    if k >= n - 1:
-        vals, V = np.linalg.eigh(op.to_dense())
-    elif not np.any(op.matvec(v0)):
-        # the zero operator: ARPACK rejects its zero residual vector
-        vals, V = np.zeros(k), np.eye(n, k)
+    known, rest = [], op
+    if which == "largest-algebraic" and op._top_pairs is not None:
+        known, rest = op._top_pairs(k)
+    left = k - len(known)
+    if left >= n - 1:
+        vals, V = np.linalg.eigh(rest.to_dense())
+    elif left == 0 or not np.any(rest.matvec(v0)):
+        # nothing left, or the zero operator, whose zero residual vector
+        # ARPACK rejects
+        vals, V = np.zeros(left), np.eye(n, left)
     else:
         # imported on first use (README, Start-up)
         import scipy.sparse.linalg as spla
 
-        ncv = None if max_basis is None else min(n, max(k + 1, int(max_basis)))
-        A = spla.LinearOperator((n, n), matvec=op.matvec, dtype=np.float64)
+        ncv = None if max_basis is None else min(n, max(left + 1, int(max_basis)))
+        A = spla.LinearOperator((n, n), matvec=rest.matvec, dtype=np.float64)
         try:
-            vals, V = spla.eigsh(A, k, which=_WHICH[which], v0=v0, ncv=ncv,
+            vals, V = spla.eigsh(A, left, which=_WHICH[which], v0=v0, ncv=ncv,
                                  tol=tol, rng=rng)
         except spla.ArpackNoConvergence as exc:
             done = np.asarray(exc.eigenvalues, dtype=np.float64)
             best = float(done[_ordered(done, which)[0]]) if len(done) else None
             raise NonConvergenceError(
-                f"ARPACK did not converge: {len(done)} of {k} pairs "
-                f"reached tolerance {tol}", best_estimate=best) from exc
-    order = _ordered(vals, which)[:k]
-    pairs = [EigenPair(float(vals[i]), V[:, i]) for i in order]
+                f"ARPACK did not converge: {len(done)} of {left} pairs "
+                f"reached tolerance {tol}",
+                best_estimate=known[0].value if known else best) from exc
+    pairs = known + [EigenPair(float(vals[i]), V[:, i])
+                     for i in _ordered(vals, which)[:left]]
     for value, vector in pairs:
         resid = float(np.linalg.norm(op.matvec(vector) - value * vector))
         if not resid <= tol * max(1.0, abs(value)):

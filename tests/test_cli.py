@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -12,9 +13,9 @@ import specgraph
 from specgraph import experiments
 from specgraph.cli import main
 from specgraph.detect import spectral_cluster
-from specgraph.models import Graph, read_labels
-from specgraph.regularize import laplacian
-from specgraph.spectral import NonConvergenceError
+from specgraph.models import Graph, PlantedPartition, read_labels, sample
+from specgraph.regularize import laplacian, regularized_laplacian
+from specgraph.spectral import NonConvergenceError, top_eigs
 
 
 def run(capsys, *argv):
@@ -305,15 +306,24 @@ def test_detect_tau_rho(tmp_path, capsys):
         code, out, err = run(capsys, "detect", "--in", str(src), "--tau-rho", rho)
         assert code == 2 and out == "", rho
         assert "error: rho must be finite and positive" in err, (rho, err)
-    plain = laplacian(Graph.from_tsv(src))
-    for method in ("laplacian-second-largest", "top-k-embedding"):
-        code, out, _ = run(capsys, "detect", "--in", str(src), "--tau-rho", "0",
-                           "--seed", "5", "--method", method)
-        assert code == 0
-        report = json.loads(out)
-        assert report["tau"] == 0.0
-        labels = spectral_cluster(plain, K=2, mode=method, seed=5)
-        assert report["labels"] == [int(x) for x in labels]
+    # the second graph has dozens of components with an edge, so L(A)'s
+    # eigenvalue 1 is repeated: the top two values are both 1, which ARPACK
+    # at the default basis could return once
+    sparse, _ = sample(PlantedPartition(3.0, 0.5), 2000, 4)
+    for g in (Graph.from_tsv(src), sparse):
+        src.write_text(g.format_tsv())
+        plain = laplacian(g)
+        top = [p.value for p in top_eigs(regularized_laplacian(g, 0), 2, seed=0)]
+        assert top == pytest.approx(np.linalg.eigvalsh(plain.to_dense())[:-3:-1],
+                                    abs=1e-9)
+        for method in ("laplacian-second-largest", "top-k-embedding"):
+            code, out, _ = run(capsys, "detect", "--in", str(src), "--tau-rho", "0",
+                               "--seed", "5", "--method", method)
+            assert code == 0
+            report = json.loads(out)
+            assert report["tau"] == 0.0
+            labels = spectral_cluster(plain, K=2, mode=method, seed=5)
+            assert report["labels"] == [int(x) for x in labels]
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +519,28 @@ def test_fig_eigvec_shape(capsys):
             "misclassification_regularized"} <= set(report)
 
 
+# sha256 of the fig-eigvec CSV from the code that wrote L(A)'s eigenvalue-1
+# vectors inside eigenvector_study, before top_eigs took them from laplacian.
+# n = 3 solves densely (seed 0 has one component with an edge, seed 5 none);
+# at n = 50 seeds 7 and 13 have three and four, so nothing is left to solve
+FIG_EIGVEC_PINNED = {
+    (3, 0): "2ac677471c29ea683c3bc94d80303be9932d98dfe5cb4a7b600da0054444b470",
+    (3, 5): "f327c86956e30ffc70128b57790dc507cf7def021e4a8bd0cd5410546d547b4c",
+    (50, 0): "f2c1f86c5aaea13685799616f82fbfabf21ef7c1fa32071d502e93c8ae10314a",
+    (50, 7): "307f014835318ce0a36e5e755503eb0aa4b10f08690dbe3bc615fc6e1202c8e5",
+    (50, 13): "7b1d9e636e5db1aea689440f9008fd8d425cd36aa477ad3a51646301e338f4e6",
+    (3000, 0): "ff4721488510059f18ba2d9310b8c32a30fe5045338831bb94fa097953065b12",
+}
+
+
+@pytest.mark.parametrize("n, seed", list(FIG_EIGVEC_PINNED))
+def test_fig_eigvec_csv_bytes_pinned(capsys, n, seed):
+    ab = ["--a", "1", "--b", "0.1"] if n == 3 else []  # a / n must be <= 1
+    code, out, _ = run(capsys, "fig-eigvec", "--n", str(n), "--seed", str(seed), *ab)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FIG_EIGVEC_PINNED[n, seed]
+
+
 def test_fig_eigvec_needs_three_nodes(capsys, monkeypatch):
     def no_sample(*args):
         raise AssertionError("a graph was sampled")
@@ -673,6 +705,11 @@ def test_solver_subpackages_load_on_first_use(tmp_path):
         ["reg", "--in", g, "--mode", "cap", "--out", str(tmp_path / "capped.tsv")],
         ["detect", "--in", g, "--method", "top-k-embedding", "--truth", g + ".labels"],
     ) == [[0, []], [0, []], [0, []], [0, [linalg, csgraph, cluster]]]
+    # without --truth only the plain Laplacian loads the component search,
+    # which gives its eigenvalue-1 vectors
+    assert _start_up(tmp_path, ["detect", "--in", g]) == [[0, [linalg]]]
+    assert _start_up(tmp_path, ["detect", "--in", g, "--tau-rho", "0"]) == [
+        [0, [linalg, csgraph]]]
     # a grid sends its replicates to worker processes, and loads
     # multiprocessing, only with two replicates or more at --threads 2; the
     # workers then load the assignment solver, not the caller

@@ -488,6 +488,11 @@ def test_graph_validation():
             Graph.parse_tsv(f"# n=4\n0\t{big}\t1\n")
     with pytest.raises(ValueError):
         Graph(4, [0, 1], [1], [1.0])  # ragged arrays
+    # the int64 cast would read (0.9, 2.7) as (0, 2), and take bools
+    for i, j in (([0.9], [2.7]), ([0], [True]), (["0"], ["2"])):
+        with pytest.raises(ValueError, match="edge endpoints must be integers"):
+            Graph(3, i, j, [1.0])
+    assert Graph(0, [], [], []).m == 0  # numpy makes an empty list float64
     with pytest.raises(ValueError, match="n must be nonnegative"):
         Graph(-3, [], [], [])
     with pytest.raises(ValueError, match=r"duplicate edge pair \(0, 1\)"):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ from specgraph.regularize import (
     remove_high_degree,
     tau_regularize,
 )
-from specgraph.spectral import SymmetricOperator, dense_eig_oracle, spectral_norm
+from specgraph.spectral import SymmetricOperator, dense_eig_oracle, spectral_norm, top_eigs
 
 
 def star(leaves=9):
@@ -240,6 +241,46 @@ def test_regularized_laplacian_disconnected_gap():
     w1, _ = dense_eig_oracle(regularized_laplacian(g, 0.5).to_dense())
     assert w1[-1] == pytest.approx(1.0, abs=1e-12)
     assert w1[-2] < 1.0 - 1e-3  # the rank-one shift merges the components
+
+
+def test_only_the_plain_laplacian_carries_its_unit_pairs():
+    # top_eigs takes L(A)'s eigenvalue-1 pairs from the operator itself; an
+    # operator derived from it, or built at tau > 0, must solve for its own
+    g, labels = sample(PlantedPartition(5.0, 0.1), 50, [7, 0])
+    L = laplacian(g)
+    assert L._top_pairs is not None
+    assert regularized_laplacian(g, 0)._top_pairs is not None
+    E = expected_matrix(PlantedPartition(5.0, 0.1), labels)
+    for op in (regularized_laplacian(g, 0.5), L - L, tau_regularize(g, 0.0),
+               expected_regularized_laplacian(E, 0.0),
+               SymmetricOperator.compose(g.n, sparse=g.adjacency())):
+        assert op._top_pairs is None
+    # three components with an edge fill k = 2 without a solve; k = 4 solves
+    # for one pair on L(A) with the three moved to -2
+    pairs, rest = L._top_pairs(2)
+    assert [p.value for p in pairs] == [1.0, 1.0] and rest is None
+    pairs, rest = L._top_pairs(4)
+    assert len(pairs) == 3 and rest._top_pairs is None
+    M = L.to_dense()
+    for p in pairs:
+        assert np.linalg.norm(M @ p.vector - p.vector) <= 1e-12
+        assert rest.matvec(p.vector) == pytest.approx(-2.0 * p.vector, abs=1e-12)
+
+
+def test_unit_pairs_build_no_more_than_k_vectors():
+    # ER d = 2 at n = 1e5 has about 2650 components with an edge: as dense
+    # vectors they would take 2.1 GB
+    n = 100_000
+    g, _ = sample(ER(2.0 / n), n, 0)
+    op = laplacian(g)
+    tracemalloc.start()
+    try:
+        pairs = top_eigs(op, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [p.value for p in pairs] == [1.0, 1.0]
+    assert peak < 50e6, peak
 
 
 def assert_same_operator(a, b, seed=0):
