@@ -1,10 +1,13 @@
-"""The scalar input rules that every layer calls.  Each checks type and range
-in one step, so a NaN, an infinity or a bool gets the range wording.  Nothing
-here imports specgraph, so any module can call it without an import cycle."""
+"""The input rules that every layer calls.  Each scalar rule checks type and
+range in one step, so a NaN, an infinity or a bool gets the range wording.
+Nothing here imports specgraph, so any module can call it without an import
+cycle."""
 
 import math
 import numbers
 import sys
+
+import numpy as np
 
 
 def real(name, x, zero_ok=False, at_most=math.inf):
@@ -32,4 +35,15 @@ def at_least(name, x, low):
     if not x >= low:
         bound = "nonnegative" if low == 0 else f"at least {low}"
         raise ValueError(f"{name} must be {bound}, got {x!r}")
+    return x
+
+
+def integers(name, x):
+    """x as an int64 array, if it is empty or has an integer dtype: the int64
+    cast alone would truncate floats and take bools and digit strings.  An
+    entry beyond int64 raises OverflowError."""
+    dtype = np.asarray(x).dtype  # numpy makes an empty list float64
+    x = np.asarray(x, dtype=np.int64)
+    if x.size and dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got {dtype}")
     return x

@@ -33,8 +33,8 @@ def misclassification_rate(estimate, truth):
 
     Labels lie in 1..K; a label below 1 raises ValueError.
     """
-    estimate = np.asarray(estimate, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
+    estimate = _validate.integers("estimate", estimate)
+    truth = _validate.integers("truth", truth)
     if estimate.shape != truth.shape:
         raise ValueError("label vectors must have the same length")
     n = len(truth)

@@ -7,36 +7,18 @@ The three grids share one harness.  A grid point is a dict of its CSV
 identity columns, its model spec and the knobs its replicate reads; _row
 turns a point and one statistic into a CSV record.
 
-Reproducibility scheme: _run_grid derives each replicate's streams from
-(master seed, grid index, replicate index) through SeedSequence, one for
-sampling and one for the eigensolver.  Replicates land in
-preallocated slots keyed by those indices, and aggregation walks the slots in
-a fixed order, so results are byte-identical for any thread count.
+Results are byte-identical for any thread count: _run_grid derives each
+replicate's streams from (master seed, grid index, replicate index), and a
+grid runs with every loaded OpenBLAS held at one thread.  The BLAS thread
+count sets the reduction order, which moves the last digits at n = 1e5, so
+the pin also frees the bytes from OPENBLAS_NUM_THREADS and the host's core
+count, and keeps BLAS threads off the cores of the grid's worker processes.
+One-off solves outside a grid (the CLI's detect and fig-eigvec) keep
+OpenBLAS's own setting.
 
-BLAS rule: a grid runs with every loaded OpenBLAS held at one thread, and
-the previous counts come back when it ends, so BLAS threads do not compete
-with the grid's worker processes for the cores.  The BLAS thread count sets
-the reduction order, which moves the last digits at n = 1e5, so pinning it
-also makes the CSV bytes independent of OPENBLAS_NUM_THREADS and the host's
-core count.  One-off solves outside a grid (the CLI's detect and fig-eigvec)
-keep OpenBLAS's own setting.
-
-Solver processes: a process runs one grid at a time; a grid that comes in
-from another thread while one runs waits for it.  A grid pools when
-min(threads, usable cores) >= 2 and it has two replicates or more.  Then
-each replicate's whole body, sampling to scoring, runs in a worker process
-that _running_grids forked, at most one per usable core, with OpenBLAS at
-one thread.  Each worker sits behind one duplex pipe.  The replicate
-function is still called by name, on one job thread per worker, which sends
-its worker the body, the point and the two seed lists and waits for the two
-floats without holding the GIL; they are the serial ones, bit for bit.  No
-other thread of the calling process takes part.
-Every other grid runs one replicate at a time on the calling thread:
+A pooled grid runs each replicate's whole body in a forked worker process:
 ARPACK's Lanczos steps (dsaupd) and the Python around them hold the GIL, so
 two threads of one process ran slower than one (README, Solver processes).
-A worker imports scipy.sparse.csgraph on its first phase replicate.  CPython
-3.12 and later warn (DeprecationWarning) when a process that runs threads
-forks; OpenBLAS's idle threads count.
 """
 
 from __future__ import annotations
@@ -288,18 +270,14 @@ def _with_trace(exc):
     return exc, f'\n"""\n{trace}"""'
 
 
-def _serve(end, parent, ends):
+def _serve(end):
     """The loop of a solver worker process.  It reads (body, point,
     sample_seed, solver_seed) from its pipe end, runs the body and sends
     back (True, value) or (False, (exception, traceback text)), a pickling
-    failure of either included, until the parent closes its end.
-
-    ends: the parent's pipe ends at the fork, this worker's own included.
-    The worker closes its copies, so that the parent's close alone ends its
-    pipe.  A watchdog exits soon after the parent is gone, also in the
-    middle of a body, whose reply would find no reader."""
-    for other in ends:
-        other.close()
+    failure of either included, until the parent closes its end.  A watchdog
+    exits soon after the parent is gone, also in the middle of a body, whose
+    reply would find no reader."""
+    parent = os.getppid()
 
     def watch():
         while os.getppid() == parent:
@@ -307,7 +285,8 @@ def _serve(end, parent, ends):
         os._exit(1)
 
     threading.Thread(target=watch, daemon=True).start()
-    try:
+    # until the parent closes its end, or is gone
+    with contextlib.suppress(EOFError, OSError):
         while True:
             body, *args = end.recv()
             try:
@@ -319,21 +298,16 @@ def _serve(end, parent, ends):
             except Exception as exc:  # the value or the exception does not pickle
                 data = pickle.dumps((False, _with_trace(exc)))
             end.send_bytes(data)
-    except (EOFError, OSError):  # the parent closed its end, or is gone
-        pass
 
 
 class _RunningGrids:
-    """What grids share: the OpenBLAS pin and the solver workers.
+    """What grids share: one lock, held by a grid from start to end, the
+    OpenBLAS pin and the solver workers.
 
-    A process runs one grid at a time: a grid holds one lock from start to
-    end, and a grid that comes in from another thread waits for it.  While
-    a grid runs, every OpenBLAS of _openblas_controls is held at one thread.
-    The solver workers are forked processes, each behind one duplex pipe,
-    and they persist between grids.  They fork after the pin, so that they
-    inherit OpenBLAS at one thread, and before the grid starts any thread.
-    They are daemonic, so multiprocessing ends them when the interpreter
-    exits.
+    The workers persist between grids.  They fork under the pin, so that
+    they inherit OpenBLAS at one thread, and before the grid starts its job
+    threads.  A forked child, each worker included, starts with none of its
+    parent's workers (_forget_parent_workers).
     """
 
     def __init__(self):
@@ -343,57 +317,68 @@ class _RunningGrids:
     @contextlib.contextmanager
     def __call__(self, size):
         """Hold the lock and the pin for one grid, and yield the pipe ends of
-        size workers, forked if there are fewer, if size >= 2, else [].  A
-        worker that dies stops the grid with BrokenProcessPool (_offload);
-        the grid then ends every worker, and the next grid forks new ones."""
-        if size > 1:
-            # imported before the fork, so that the workers inherit it
-            import scipy.sparse.linalg  # noqa: F401
+        size workers if size >= 2, else [].  Workers that are not serving
+        are replaced on entry and ended on exit."""
         with self._lock:
             restore = [(put, get()) for get, put in _openblas_controls()]
             for put, _ in restore:
                 put(1)
             try:
-                if size > 1 and len(self._workers) < size:
+                if size > 1 and not self._serving(size):
                     self._close()
                     self._fork(size)
                 yield [end for _, end in self._workers[:size]] if size > 1 else []
             finally:
-                # _offload closes the pipe end of a worker that is gone
-                if any(end.closed for _, end in self._workers):
-                    for proc, _ in self._workers:
-                        proc.kill()
-                        proc.join()
-                    self._workers = []
+                if not self._serving(size):
+                    self._close()
                 for put, count in restore:
                     put(count)
 
+    def _serving(self, size):
+        """At least size workers, each alive and with an open pipe end
+        (_offload closes the end of a worker that is gone)."""
+        return len(self._workers) >= size and all(
+            proc.is_alive() and not end.closed for proc, end in self._workers)
+
     def _fork(self, size):
         """Fork size solver workers from this thread."""
-        # imported on first use (README, Start-up)
+        # imported on first use (README, Start-up); scipy.sparse.linalg
+        # before the fork, so that the workers inherit it
         import multiprocessing
 
+        import scipy.sparse.linalg  # noqa: F401
+
         context = multiprocessing.get_context("fork")
-        ends = []
         for _ in range(size):
             end, theirs = context.Pipe()
-            ends.append(end)
-            proc = context.Process(target=_serve, args=(theirs, os.getpid(), ends),
-                                   daemon=True)
+            proc = context.Process(target=_serve, args=(theirs,), daemon=True)
+            self._workers.append((proc, end))  # before the fork: the child closes end
             proc.start()
             theirs.close()
-            self._workers.append((proc, end))
 
     def _close(self):
-        """End the workers: each reads an end of file and returns."""
-        for _, end in self._workers:
+        """End the workers: each reads an end of file and returns.  No other
+        process holds a copy of a worker's parent end (_forget_parent_workers),
+        so closing it here is enough."""
+        for proc, end in self._workers:
             end.close()
-        for proc, _ in self._workers:
-            proc.join()
+            if proc.pid is not None:  # else its start failed (_fork)
+                proc.join()
         self._workers = []
 
 
+def _forget_parent_workers():
+    """In a forked child: close the copies of the parent's pipe ends, so that
+    the parent's close alone ends each pipe, and start with no workers and a
+    free lock."""
+    for _, end in _running_grids._workers:
+        end.close()
+    _running_grids.__init__()
+
+
 _running_grids = _RunningGrids()
+if hasattr(os, "register_at_fork"):  # no fork on Windows
+    os.register_at_fork(after_in_child=_forget_parent_workers)
 # _grid_thread.end: the pipe end of the worker that runs a job thread's
 # replicates, or None where they run in this process (_run_grid)
 _grid_thread = threading.local()
@@ -414,7 +399,7 @@ def _offload(body, point, sample_seed, solver_seed):
         ok, value = end.recv()
     except (EOFError, OSError) as exc:
         # the worker is gone: its closed end tells _RunningGrids to end
-        # every worker when the grid does
+        # the workers when the grid does
         end.close()
         from concurrent.futures.process import BrokenProcessPool
 

@@ -106,19 +106,12 @@ class Graph:
     """
 
     def __init__(self, n, i, j, w):
-        # the int64 cast below truncates floats and takes bools and digit
-        # strings; numpy makes an empty list float64, which stays allowed
-        dtypes = [a.dtype for a in map(np.asarray, (i, j)) if a.size]
         try:
-            i = np.asarray(i, dtype=np.int64)
-            j = np.asarray(j, dtype=np.int64)
+            i, j = (_validate.integers("edge endpoints", a) for a in (i, j))
         except OverflowError:  # an endpoint beyond int64
             raise ValueError("edge endpoint out of range") from None
-        bad = [t for t in dtypes if t.kind not in "iu"]
-        if bad:
-            raise ValueError(f"edge endpoints must be integers, got {bad[0]}")
         w = np.asarray(w, dtype=np.float64)
-        _validate.at_least("n", n, 0)
+        n = _validate.integer("n", n, 0)
         if n > _MAX_N:
             raise ValueError(f"n must be at most {_MAX_N}, so that the edge key "
                              f"i*n + j fits in an int64, got {n!r}")
@@ -128,7 +121,7 @@ class Graph:
             raise ValueError("edge endpoint out of range")
         if np.any(i >= j):
             raise ValueError("edges must satisfy i < j (no self-loops)")
-        self.n = int(n)
+        self.n = n
         key = i * self.n + j
         order = np.argsort(key)  # keys are unique once duplicates are out
         dup = np.flatnonzero(np.diff(key[order]) == 0)
@@ -461,7 +454,7 @@ class ExpectedMatrix:
     """
 
     def __init__(self, labels, B, theta=None):
-        self.labels = np.asarray(labels, dtype=np.int64)
+        self.labels = _validate.integers("labels", labels)
         self.n = len(self.labels)
         self.B = np.asarray(B, dtype=np.float64)
         if theta is not None:  # else the unit theta is built on first read
@@ -569,7 +562,7 @@ def expected_matrix(spec, labels):
     LSM and IERM give a dense P, stored as n blocks of one node and refused
     above DENSE_LIMIT nodes.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _validate.integers("labels", labels)
     n = len(labels)
     if isinstance(spec, ER):  # one block, whatever the labels
         return ExpectedMatrix(np.ones(n, dtype=np.int64), [[spec.p]])
@@ -751,7 +744,7 @@ def sample(spec, n, seed):
     Labels are drawn first (where random), then each upper-triangle entry is
     an independent Bernoulli(P_ij).  Deterministic given (spec, n, seed).
     """
-    _validate.at_least("n", n, 1)
+    n = _validate.integer("n", n, 1)
     rng = _rng(seed)
     labels = planted_labels(spec, n, rng)
     E = expected_matrix(spec, labels)  # validates probabilities vs n

@@ -58,6 +58,12 @@ def test_misclassification_validation_and_empty():
     with pytest.raises(ValueError):
         misclassification_rate(np.array([1, 2]), np.array([1]))
     assert misclassification_rate(np.array([], dtype=int), np.array([], dtype=int)) == 0.0
+    assert misclassification_rate([], []) == 0.0  # numpy makes [] float64
+    # the int64 cast would read [1.9, 1.2, 2.5] as [1, 1, 2] and score 1/3
+    with pytest.raises(ValueError, match="^estimate must be integers, got float64$"):
+        misclassification_rate([1.9, 1.2, 2.5], [1, 2, 2])
+    with pytest.raises(ValueError, match="^truth must be integers, got bool$"):
+        misclassification_rate([1, 2, 2], [True, True, True])
 
 
 def test_misclassification_rejects_zero_based_labels():

@@ -495,6 +495,13 @@ def test_graph_validation():
     assert Graph(0, [], [], []).m == 0  # numpy makes an empty list float64
     with pytest.raises(ValueError, match="n must be nonnegative"):
         Graph(-3, [], [], [])
+    for n in (3.7, np.float64(4.0), True):  # int() would read 3, 4 and 1
+        with pytest.raises(ValueError, match="^n must be an integer, got "):
+            Graph(n, [0], [2], [1.0])
+        with pytest.raises(ValueError, match="^n must be an integer, got "):
+            sample(ER(0.5), n, 0)
+    with pytest.raises(ValueError, match="^n must be an integer, got 3.5$"):
+        sample(ER(0.5), 3.5, 0)  # not numpy's TypeError
     with pytest.raises(ValueError, match=r"duplicate edge pair \(0, 1\)"):
         Graph(4, [0, 0], [1, 1], [1.0, 0.5])
     with pytest.raises(ValueError):
@@ -561,6 +568,12 @@ def test_expected_matrix_validation(monkeypatch):
     for labels in ([1, 3], [0, 1]):  # labels lie in 1..K
         with pytest.raises(ValueError, match="^label out of range for B$"):
             ExpectedMatrix(labels, B)
+    # the int64 cast would read [1.7, 2.2, 2.9] as [1, 2, 2], and take bools
+    for labels in ([1.7, 2.2, 2.9], [True, True, True], ["1", "2", "2"]):
+        with pytest.raises(ValueError, match="^labels must be integers, got "):
+            ExpectedMatrix(labels, B)
+        with pytest.raises(ValueError, match="^labels must be integers, got "):
+            expected_matrix(PlantedPartition(2, 1), labels)
     three = np.ones(3, dtype=np.int64)
     with pytest.raises(ValueError, match=r"^LSM position count must equal len\(labels\)$"):
         expected_matrix(LSM(((0.0, 0.0), (1.0, 0.0))), three)

@@ -413,6 +413,102 @@ def test_dead_worker_stops_the_grid_and_the_next_grid_replaces_it(
     assert pooled == measure_concentration(cfg, threads=1).to_csv()
 
 
+def small_phase(threads):
+    return phase_sweep(10.0, (4.0,), n=300, R=2, seed=1, threads=threads).to_csv()
+
+
+def test_worker_killed_between_grids_is_replaced(fresh_grids, submitted):
+    # the next grid finds a worker dead before any of its replicates ran:
+    # it replaces the workers instead of stopping with BrokenProcessPool
+    serial = small_phase(1)
+    assert small_phase(2) == serial
+    proc = fresh_grids._workers[0][0]
+    os.kill(proc.pid, signal.SIGKILL)
+    proc.join(30)
+    assert proc.exitcode == -signal.SIGKILL
+    assert small_phase(2) == serial
+    assert submitted.count("_fork") == 2
+    assert not any(p is proc for p, _ in fresh_grids._workers)
+
+
+def _grid_in_forked_child(conn, serial):
+    """What a forked child sees of the grid state, and its own pooled grid."""
+    grids = experiments._running_grids
+    seen = {"workers at start": len(grids._workers)}
+    try:
+        seen["bytes"] = small_phase(2) == serial
+        replicate = functools.partial(experiments._offload, _whose_child)
+        ppids, pids = experiments._run_grid([{}], 2, 0, replicate, 2)
+        seen["worker parents"] = set(ppids[0]) == {os.getpid()}
+        seen["workers are not the child"] = os.getpid() not in pids[0]
+        grids._close()
+    except BaseException as exc:
+        seen["error"] = repr(exc)
+    conn.send(list(seen.items()))  # what the submitted spy can index
+
+
+def _whose_child(*args):
+    return float(os.getppid()), float(os.getpid())
+
+
+def test_forked_child_forks_workers_of_its_own(fresh_grids, submitted):
+    # a child forked after a pooled grid starts with none of its parent's
+    # workers, and its pooled grids run on workers it forks; the parent
+    # keeps its two
+    serial = small_phase(1)
+    assert small_phase(2) == serial
+    workers = list(fresh_grids._workers)
+    context = multiprocessing.get_context("fork")
+    ours, theirs = context.Pipe()
+    child = context.Process(target=_grid_in_forked_child, args=(theirs, serial))
+    child.start()
+    theirs.close()
+    try:
+        assert ours.poll(120), "the child sent nothing"
+        seen = dict(ours.recv())
+    finally:
+        child.join(60)
+    assert child.exitcode == 0
+    assert seen == {"workers at start": 0, "bytes": True,
+                    "worker parents": True, "workers are not the child": True}
+    assert small_phase(2) == serial
+    assert fresh_grids._workers == workers and len(workers) == 2
+    assert submitted.count("_fork") == 1
+
+
+def _grids_in_daemonic_child(conn, serial):
+    outcomes = []
+    for threads in (2, 2, 1):
+        try:
+            outcomes.append(small_phase(threads) == serial)
+        except BaseException as exc:
+            outcomes.append(repr(exc))
+    outcomes.append(len(experiments._running_grids._workers))
+    conn.send(outcomes)
+
+
+def test_daemonic_child_forks_no_workers_and_runs_serial_grids(fresh_grids):
+    # multiprocessing lets no daemonic process start children: each pooled
+    # grid there raises that, and leaves no worker behind, and a grid at
+    # threads=1 runs
+    serial = small_phase(1)
+    context = multiprocessing.get_context("fork")
+    ours, theirs = context.Pipe()
+    child = context.Process(target=_grids_in_daemonic_child,
+                            args=(theirs, serial), daemon=True)
+    child.start()
+    theirs.close()
+    try:
+        assert ours.poll(120), "the child sent nothing"
+        outcomes = ours.recv()
+    finally:
+        child.join(60)
+    assert child.exitcode == 0
+    refused = repr(AssertionError("daemonic processes are not allowed to have "
+                                  "children"))
+    assert outcomes == [refused, refused, True, 0]
+
+
 def test_interrupt_joins_the_job_threads_and_keeps_the_workers(
         monkeypatch, fresh_grids, submitted):
     # a Ctrl-C in the calling thread mid-grid reaches the caller only after
