@@ -34,6 +34,7 @@ from .models import (
 from .regularize import (
     choose_tau,
     degree_regularize,
+    edge_components,
     regularized_laplacian,
     remove_high_degree,
 )
@@ -162,6 +163,10 @@ def _cmd_detect(args):
     labels = spectral_cluster(op, K=args.k, mode=method, seed=seed)
     report = {"n": g.n, "k": args.k, "method": method, "tau": tau,
               "misclassification": None}
+    if tau == 0:
+        # the plain Laplacian: its top eigenvalue, 1, has one eigenvector
+        # per component with an edge, and their number decides the labels
+        report["components"] = edge_components(g)
     if args.truth is not None:
         truth = read_labels(args.truth)
         report["misclassification"] = misclassification_rate(labels, truth)

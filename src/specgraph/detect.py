@@ -74,11 +74,14 @@ def kmeans(X, K, seed=None):
     from one generator, so the labels are fixed by the seed; seed=None means
     the same fixed default that top_eigs uses.
 
-    Each restart takes one kmeans2 step at a time, at most _LLOYD_STEPS, and
-    stops at a fixed point of Lloyd's iteration: once a step assigns the
-    labels of the step before, it recomputes the same means bit for bit (an
-    empty cluster keeps its old centre), so every later step would too.  The
-    result is that of kmeans2(iter=_LLOYD_STEPS).
+    Each restart takes one kmeans2 step at a time, at most _LLOYD_STEPS.  A
+    step's centres depend only on the centres before it, so once a step
+    returns the centres it was given (by their bytes) every later step
+    would too, and the restart stops there; so does one that reaches
+    centres from which an earlier restart went on to such a fixed point, in
+    no more steps than it has left.  Every restart still draws its k-means++
+    seeding, so the random stream is unchanged, and the result is that of
+    kmeans2(iter=_LLOYD_STEPS).
     """
     # imported on first use (README, Start-up)
     from scipy.cluster.vq import kmeans2
@@ -89,6 +92,8 @@ def kmeans(X, K, seed=None):
     rng = np.random.default_rng(_DEFAULT_SEED if seed is None else seed)
     best_assign = None
     best_inertia = np.inf
+    # centres' bytes -> (at most this many steps to a fixed point, that point)
+    ends = {}
     with warnings.catch_warnings():
         # fewer than K distinct rows: the k-means++ draw divides 0 by 0 and a
         # cluster can stay empty, which keeps its last centre (missing="warn")
@@ -96,13 +101,24 @@ def kmeans(X, K, seed=None):
         warnings.filterwarnings("ignore", "One of the clusters is empty")
         for _ in range(_RESTARTS):
             # the first call draws the seeding and checks X for NaN and inf
-            C, prev = kmeans2(X, K, iter=1, minit="++", missing="warn", rng=rng)
-            for _ in range(_LLOYD_STEPS - 1):
-                C, labels = kmeans2(X, C, iter=1, minit="matrix",
-                                    missing="warn", check_finite=False)
-                if np.array_equal(labels, prev):
+            C = kmeans2(X, K, iter=1, minit="++", missing="warn", rng=rng)[0]
+            path = [C.tobytes()]  # the centres after each step
+            togo = None  # steps from path[-1] to C, once C is a fixed point
+            while len(path) < _LLOYD_STEPS:
+                known = ends.get(path[-1])
+                if known is not None and len(path) + known[0] <= _LLOYD_STEPS:
+                    togo, C = known
                     break
-                prev = labels
+                C = kmeans2(X, C, iter=1, minit="matrix", missing="warn",
+                            check_finite=False)[0]
+                key = C.tobytes()
+                if key == path[-1]:
+                    togo = 0
+                    break
+                path.append(key)
+            if togo is not None:
+                for back, key in enumerate(reversed(path)):
+                    ends.setdefault(key, (togo + back, C))
             assign, dist = vq(X, C, check_finite=False)
             inertia = float(dist @ dist)
             if inertia < best_inertia - 1e-15:

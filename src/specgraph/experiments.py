@@ -369,10 +369,15 @@ class _RunningGrids:
 
 def _forget_parent_workers():
     """In a forked child: close the copies of the parent's pipe ends, so that
-    the parent's close alone ends each pipe, and start with no workers and a
-    free lock."""
-    for _, end in _running_grids._workers:
-        end.close()
+    the parent's close alone ends each pipe, take the parent's workers off
+    multiprocessing's list of this process's children, whose exit handler
+    would end them, and start with no workers and a free lock."""
+    if _running_grids._workers:  # multiprocessing is imported (_fork)
+        from multiprocessing import process
+
+        for proc, end in _running_grids._workers:
+            end.close()
+            process._children.discard(proc)
     _running_grids.__init__()
 
 

@@ -258,9 +258,21 @@ def write_labels(path, labels):
 def read_labels(path):
     """The integer labels of a label file; blank lines are skipped."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        text = fh.read()
+    lines = text.splitlines()
+    labels = list(filter(str.strip, lines))
+    # numpy's C reader on plain ASCII, by the rule of Graph.parse_tsv; a
+    # line it splits at a tab is no int either
+    if labels and text.isascii() and "\x1f" not in text:
+        try:
+            a = np.loadtxt(labels, dtype=np.int64, delimiter="\t", comments=None,
+                           ndmin=2)
+            if a.shape[1] == 1:
+                return a[:, 0]
+        except ValueError:
+            pass
     try:
-        return np.fromiter(map(int, filter(str.strip, lines)), dtype=np.int64)
+        return np.fromiter(map(int, labels), dtype=np.int64)
     except (ValueError, OverflowError):
         pass
     for number, ln in enumerate(lines, 1):  # find the first line that is no int64

@@ -52,12 +52,18 @@ class RegularizationReport:
 def degree_regularize(graph, d_hat, cap_multiplier=2.0):
     """Cap all weighted degrees at cap_multiplier * d_hat by down-weighting.
 
-    Vertices above the cap are processed in decreasing-degree order; each has
-    its incident edge weights scaled by cap/degree.  Scaling never raises any
-    degree, so one pass suffices in exact arithmetic; the loop repeats until
-    clean to absorb floating-point drift.  Edges not incident to a touched
-    vertex are returned unchanged; the output keeps the input's edge order
-    and reuses the layout built here for its adjacency.
+    Each pass ranks the vertices above the cap by decreasing degree, ties by
+    index, and takes them in rank order: one still above the cap when its
+    turn comes has its incident edge weights scaled by cap/degree.  Scaling
+    never raises any degree, so one pass suffices in exact arithmetic; the
+    loop repeats until clean to absorb floating-point drift.  Edges not
+    incident to a touched vertex are returned unchanged; the output keeps
+    the input's edge order and reuses the layout built here for its
+    adjacency.
+
+    A pass is array operations with the arithmetic of the per-vertex loop,
+    in its order (_turns), so every weight, factor and over-cap degree is
+    that loop's bit for bit.
     """
     _validate.real("d_hat", d_hat)
     _validate.real("cap_multiplier", cap_multiplier)
@@ -69,7 +75,7 @@ def degree_regularize(graph, d_hat, cap_multiplier=2.0):
     pre_max = float(deg.max()) if n else 0.0
     factors = np.ones(n)
     layout = graph.incidence()
-    bounds, _, by_vertex = layout
+    bounds, neighbors, by_vertex = layout
     slack = 1.0 + 1e-12
     passes = 0
     while passes < n:
@@ -78,17 +84,33 @@ def degree_regularize(graph, d_hat, cap_multiplier=2.0):
             break
         passes += 1
         viol = viol[np.argsort(-deg[viol], kind="stable")]
-        for v in viol:
-            dv = deg[v]
-            if dv <= cap * slack:
-                continue
-            f = cap / dv
-            es = by_vertex[bounds[v]:bounds[v + 1]]
-            delta = w[es] * (f - 1.0)
-            w[es] *= f
-            np.add.at(deg, graph.i[es], delta)
-            np.add.at(deg, graph.j[es], delta)
-            factors[v] *= f
+        rank = np.full(n, len(viol))
+        rank[viol] = np.arange(len(viol))
+        # every incident edge of the over-cap vertices, by rank of its owner
+        pos, owner = _spans(bounds, viol)
+        nb, es = neighbors[pos], by_vertex[pos]
+        other = rank[nb]
+        f, turn = _turns(deg[viol], owner, other, w[es], cap, cap * slack)
+        factors[viol] *= f
+        scaled = f[owner] != 1.0
+        owner, other, nb, es = owner[scaled], other[scaled], nb[scaled], es[scaled]
+        f = np.append(f, 1.0)  # the factor of rank len(viol): not over the cap
+        # each edge's weight when its owner's turn comes, and the change made
+        now = w[es] * np.where(other < owner, f[other], 1.0)
+        delta = now * (f[owner] - 1.0)
+        last = (other < owner) | (f[other] == 1.0)  # no later turn scales e
+        w[es[last]] = (now * f[owner])[last]
+        # an over-cap degree from its turn on: its own changes through i (to
+        # higher-numbered neighbours), then through j, then those of later
+        # scaled neighbours in rank order.  Any other degree only falls, the
+        # weights being positive, so it stays within the cap: it is left as
+        # it was
+        up = nb > viol[owner]
+        np.add.at(turn, owner[up], delta[up])
+        np.add.at(turn, owner[~up], delta[~up])
+        back = other < owner
+        np.add.at(turn, other[back], delta[back])
+        deg[viol] = turn
     out = graph._reweighted(w, layout)
     post = out.degrees()
     touched = np.flatnonzero(factors < 1.0)
@@ -103,6 +125,46 @@ def degree_regularize(graph, d_hat, cap_multiplier=2.0):
         passes=passes,
     )
     return out, report
+
+
+def _spans(ptr, rows):
+    """The indices ptr[r]:ptr[r+1] of each r in rows, concatenated in rows'
+    order, and for each index the position in rows it came from."""
+    lens = ptr[rows + 1] - ptr[rows]
+    owner = np.repeat(np.arange(len(rows)), lens)
+    return np.arange(len(owner)) + (ptr[rows] - np.cumsum(lens) + lens)[owner], owner
+
+
+def _turns(now, owner, other, weight, cap, limit):
+    """The factor of each over-cap vertex of one pass, by rank, and its
+    degree at its turn: cap/degree, or 1.0 where that degree is at most
+    limit.
+
+    now holds the degrees at the start of the pass, by rank; each incident
+    edge of these vertices is (owner, other, weight): the ranks of its two
+    ends, len(now) for an end not over the cap, and its weight.  A vertex's
+    degree at its turn is now plus, in rank order, weight * (f - 1) from
+    each earlier scaled neighbour.  So every vertex with no earlier over-cap
+    neighbour, most of them on a sparse graph, takes its turn at once; the
+    others take theirs in rank order over just those edges, in Python
+    floats, whose arithmetic is numpy's float64 arithmetic.
+    """
+    into = other < owner  # an earlier over-cap neighbour: owner waits for it
+    after, before, weight = owner[into], other[into], weight[into]
+    order = np.lexsort((before, after))
+    after, before, weight = after[order], before[order], weight[order]
+    waiting, first = np.unique(after, return_index=True)
+    ends = np.append(first[1:], len(after)).tolist()
+    f, turn = (cap / now).tolist(), now.tolist()
+    before, weight = before.tolist(), weight.tolist()
+    for v, lo, hi in zip(waiting.tolist(), first.tolist(), ends):
+        d = turn[v]
+        for u, x in zip(before[lo:hi], weight[lo:hi]):
+            if f[u] != 1.0:
+                d += x * (f[u] - 1.0)
+        turn[v] = d
+        f[v] = 1.0 if d <= limit else cap / d
+    return np.array(f), np.array(turn)
 
 
 def remove_high_degree(graph, threshold):
@@ -159,21 +221,34 @@ def _unit_pairs(terms, adjacency, rows, k):
     m moved to -2, below the spectrum, for the k - m pairs left (else None).
     It never builds more than k vectors, however many components there are.
     """
-    # imported on first use (README, Start-up)
-    from scipy.sparse.csgraph import connected_components
-
-    _, comp = connected_components(adjacency, directed=False)
+    comp, found = _edge_components(adjacency, rows)
     root = np.sqrt(rows)
-    found, first = np.unique(comp[root > 0], return_index=True)
     pairs = [EigenPair(1.0, np.where(comp == c, root, 0.0)
                        / np.linalg.norm(root[comp == c]))
-             for c in found[np.argsort(first)][:k]]
+             for c in found[:k]]
     if len(found) >= k:
         return pairs, None
     rest = SymmetricOperator(len(rows), terms)
     for p in pairs:
         rest -= SymmetricOperator.compose(rest.n, rank_one=3.0, scale=p.vector)
     return pairs, rest
+
+
+def _edge_components(adjacency, rows):
+    """Each node's component, and the components with an edge (a positive
+    degree in rows), in order of their smallest node."""
+    # imported on first use (README, Start-up)
+    from scipy.sparse.csgraph import connected_components
+
+    _, comp = connected_components(adjacency, directed=False)
+    found, first = np.unique(comp[rows > 0], return_index=True)
+    return comp, found[np.argsort(first)]
+
+
+def edge_components(graph):
+    """m, the number of connected components with an edge: the multiplicity
+    of eigenvalue 1, the top of L(A)'s spectrum (_unit_pairs)."""
+    return len(_edge_components(graph.adjacency(), graph.degrees())[1])
 
 
 def expected_regularized_laplacian(expected, tau):

@@ -8,9 +8,10 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 import specgraph
-from specgraph import experiments
+from specgraph import cli, experiments
 from specgraph.cli import main
 from specgraph.detect import spectral_cluster
 from specgraph.models import Graph, PlantedPartition, read_labels, sample
@@ -324,6 +325,30 @@ def test_detect_tau_rho(tmp_path, capsys):
             assert report["tau"] == 0.0
             labels = spectral_cluster(plain, K=2, mode=method, seed=5)
             assert report["labels"] == [int(x) for x in labels]
+
+
+def test_detect_reports_components_at_tau_zero(tmp_path, capsys, monkeypatch):
+    # at tau = 0, m, the number of components with an edge, decides the
+    # labels: on this draw m >= 2 and the sign rule labels every node 1
+    g, _ = sample(PlantedPartition(3.0, 0.5), 2000, 4)
+    src = tmp_path / "g.tsv"
+    src.write_text(g.format_tsv())
+    _, comp = connected_components(g.adjacency(), directed=False)
+    m = len(np.unique(comp[g.degrees() > 0]))
+    assert m >= 2
+    for method in ("laplacian-second-largest", "top-k-embedding"):
+        code, out, _ = run(capsys, "detect", "--in", str(src), "--tau-rho", "0",
+                           "--seed", "0", "--method", method)
+        report = json.loads(out)
+        assert code == 0 and report["tau"] == 0.0 and report["components"] == m
+    assert set(report["labels"]) == {1, 2}
+    code, out, _ = run(capsys, "detect", "--in", str(src), "--tau-rho", "0")
+    assert code == 0 and set(json.loads(out)["labels"]) == {1}
+    # elsewhere m is neither computed nor reported
+    monkeypatch.setattr(cli, "edge_components", None)
+    for argv in ((), ("--method", "adjacency-second-largest")):
+        code, out, _ = run(capsys, "detect", "--in", str(src), *argv)
+        assert code == 0 and "components" not in json.loads(out)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from specgraph.models import (
     planted_labels,
     sample,
 )
-from specgraph.regularize import regularized_laplacian
-from specgraph.spectral import SymmetricOperator
+from specgraph.regularize import choose_tau, degree_regularize, regularized_laplacian
+from specgraph.spectral import SymmetricOperator, top_eigs
 
 
 def two_cliques(half=10):
@@ -211,6 +211,87 @@ def test_kmeans_equals_every_step_formula(monkeypatch, X, K, seed, at_cap):
     assert len(seen) == len(centres)
     for got, want in zip(seen, centres):
         assert np.array_equal(got, want)
+
+
+def _cli_embedding(n, seed):
+    """The rows k-means gets from detect --method top-k-embedding on a
+    capped PP a = 6, b = 1 graph, at a smaller n."""
+    g, _ = sample(PlantedPartition(6.0, 1.0), n, seed)
+    capped, _ = degree_regularize(g, float(g.degrees().mean()))
+    op = regularized_laplacian(capped, choose_tau(capped, 0.25))
+    pairs = top_eigs(op, 2, which="largest-algebraic", seed=seed)
+    return np.column_stack([p.vector for p in pairs])
+
+
+def _unshared_steps(X, K, seed):
+    """The kmeans2 calls of each restart when none shares a trajectory: steps
+    until one returns the centres it was given, at most _LLOYD_STEPS."""
+    rng = np.random.default_rng(seed)
+    steps = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for _ in range(detect._RESTARTS):
+            C, _ = kmeans2(X, K, iter=1, minit="++", missing="warn", rng=rng)
+            taken = 1
+            while taken < detect._LLOYD_STEPS:
+                D, _ = kmeans2(X, C, iter=1, minit="matrix", missing="warn")
+                taken += 1
+                if D.tobytes() == C.tobytes():
+                    break
+                C = D
+            steps.append(taken)
+    return steps
+
+
+def _spy_kmeans(monkeypatch, X, K, seed):
+    """kmeans(X, K, seed), with the kmeans2 calls of each restart and the
+    centres it sends to vq."""
+    import scipy.cluster.vq
+
+    real, minits, seen = scipy.cluster.vq.kmeans2, [], []
+    with monkeypatch.context() as m:
+        m.setattr(scipy.cluster.vq, "kmeans2",
+                  lambda *a, **kw: minits.append(kw["minit"]) or real(*a, **kw))
+        m.setattr(detect, "vq", lambda X, C, **kw: seen.append(C) or vq(X, C, **kw))
+        labels = kmeans(X, K, seed=seed)
+    steps = np.diff(np.flatnonzero(np.append(np.array(minits) == "++", True)))
+    return labels, steps.tolist(), seen
+
+
+def test_kmeans_restarts_share_trajectories(monkeypatch):
+    # on the cli's embedding shape, restarts reach centres from which an
+    # earlier restart went on to its fixed point, and skip those steps
+    X = _cli_embedding(4000, 0)
+    labels, centres, _ = _kmeans_all_steps(X, 2, 0)
+    unshared = _unshared_steps(X, 2, 0)
+    got, steps, seen = _spy_kmeans(monkeypatch, X, 2, 0)
+    assert np.array_equal(got, labels)
+    assert len(steps) == len(seen) == len(centres) == detect._RESTARTS
+    assert all(a <= b for a, b in zip(steps, unshared))
+    assert sum(steps) < 0.8 * sum(unshared)
+    for a, b in zip(seen, centres):
+        assert np.array_equal(a, b)
+
+
+def test_kmeans_shares_trajectories_at_every_step_cap(monkeypatch):
+    # a restart may take an earlier fixed point only if it gets there within
+    # its steps: at every cap, the labels and each restart's centres are
+    # those of kmeans2(iter=cap), and some restart that would have used all
+    # its steps stops early by sharing
+    X = _cli_embedding(600, 1)
+    near_cap = []
+    for cap in range(1, 21):
+        monkeypatch.setattr(detect, "_LLOYD_STEPS", cap)
+        labels, centres, _ = _kmeans_all_steps(X, 2, 1)
+        unshared = _unshared_steps(X, 2, 1)
+        got, steps, seen = _spy_kmeans(monkeypatch, X, 2, 1)
+        assert np.array_equal(got, labels), cap
+        assert len(seen) == len(centres)
+        for a, b in zip(seen, centres):
+            assert np.array_equal(a, b), cap
+        if any(a < b == cap for a, b in zip(steps, unshared)):
+            near_cap.append(cap)
+    assert len(near_cap) >= 3
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

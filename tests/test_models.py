@@ -746,6 +746,66 @@ def test_read_labels_takes_what_int_takes_and_names_a_bad_line(tmp_path):
         read_labels(path)
 
 
+def _read_labels_by_lines(path):
+    """read_labels as one int() per line: the reference for its numpy path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    try:
+        return np.fromiter(map(int, filter(str.strip, lines)), dtype=np.int64)
+    except (ValueError, OverflowError):
+        pass
+    for number, ln in enumerate(lines, 1):
+        try:
+            np.int64(int(ln))
+        except (ValueError, OverflowError):
+            if ln.strip():
+                raise ValueError(f"malformed label line {number}: {ln!r}") from None
+
+
+# pieces of label lines: what int() and numpy's reader each take or refuse
+LABEL_PIECES = st.sampled_from([
+    "0", "1", "7", "12", "-", "+", "_", ".", "0.", "e3", "x", " ", "\t", "\x0b",
+    "\x0c", "\x1f", "\r\n", "\n", "1.0", "1_0", "9223372036854775807",
+    "9223372036854775808", "-9223372036854775809", "99999999999999999999",
+    "\u0662", "\u01fe", "\U00020000", "\xa0", "#", ",",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(LABEL_PIECES, max_size=4).map("".join), max_size=6)
+       .map("\n".join))
+@example("1\n2\n10\n")
+@example("1\n\n \n2\n\t\n")                        # blank lines
+@example("1\n1.0\n")                               # a float
+@example("1_0\n2\n")                               # int() takes underscores
+@example("9223372036854775807\n9223372036854775808\n")  # past int64
+@example("-9223372036854775808\n-9223372036854775809\n")
+@example("\u0661\n\u0662\n")                         # Arabic-Indic digits
+@example("1\t2\n3\t4\n")                            # two columns
+@example("1\t2\n")
+@example("")
+def test_read_labels_matches_line_loop(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "hypothesis.labels"
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, want = _outcome(read_labels, path), _outcome(_read_labels_by_lines, path)
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    else:
+        assert got == want
+
+
+def test_read_labels_reads_plain_ascii_with_numpy(monkeypatch, tmp_path):
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: calls.append(1) or loadtxt(*a, **kw))
+    path = tmp_path / "labels.txt"
+    write_labels(path, [1, 2, 2, 1])
+    assert read_labels(path).tolist() == [1, 2, 2, 1]
+    assert len(calls) == 1
+
+
 def _format_tsv_by_edges(g):
     """Graph.format_tsv as one % format per edge: the reference for its numpy path."""
     return f"# n={g.n}\n" + "".join(

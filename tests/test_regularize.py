@@ -4,9 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specgraph.models import ER, Graph, PlantedPartition, expected_matrix, sample
 from specgraph.regularize import (
+    RegularizationReport,
     choose_tau,
     degree_regularize,
     expected_regularized_laplacian,
@@ -142,6 +145,100 @@ def test_cap_report_json_round_trips():
     assert doc["touched"] == [0]
     assert doc["budget"] == 50
     assert doc["passes"] == 1
+
+
+def _degree_regularize_by_vertex(graph, d_hat, cap_multiplier=2.0):
+    """degree_regularize as one Python loop over the over-cap vertices of
+    each pass: the reference for its layers.  Returns the weights and the
+    report."""
+    cap = cap_multiplier * d_hat
+    n = graph.n
+    w = graph.w.copy()
+    deg = graph.degrees()
+    pre_max = float(deg.max()) if n else 0.0
+    factors = np.ones(n)
+    bounds, _, by_vertex = graph.incidence()
+    slack = 1.0 + 1e-12
+    passes = 0
+    while passes < n:
+        viol = np.flatnonzero(deg > cap * slack)
+        if len(viol) == 0:
+            break
+        passes += 1
+        viol = viol[np.argsort(-deg[viol], kind="stable")]
+        for v in viol:
+            dv = deg[v]
+            if dv <= cap * slack:
+                continue
+            f = cap / dv
+            es = by_vertex[bounds[v]:bounds[v + 1]]
+            delta = w[es] * (f - 1.0)
+            w[es] *= f
+            np.add.at(deg, graph.i[es], delta)
+            np.add.at(deg, graph.j[es], delta)
+            factors[v] *= f
+    post = Graph(n, graph.i, graph.j, w).degrees()
+    touched = np.flatnonzero(factors < 1.0)
+    budget = math.ceil(10.0 * n / d_hat)
+    return w, RegularizationReport(
+        touched=touched, factors=factors[touched], pre_max_degree=pre_max,
+        post_max_degree=float(post.max()) if n else 0.0, budget=budget,
+        over_budget=len(touched) > budget, passes=passes)
+
+
+def _assert_capped_like_the_loop(g, d_hat, cap_multiplier=2.0):
+    out, report = degree_regularize(g, d_hat, cap_multiplier)
+    w, want = _degree_regularize_by_vertex(g, d_hat, cap_multiplier)
+    assert out.w.tobytes() == w.tobytes()
+    assert report.touched.tobytes() == want.touched.tobytes()
+    assert report.factors.tobytes() == want.factors.tobytes()
+    assert report.to_json() == want.to_json()
+    return report
+
+
+def path_graph(n):
+    return Graph(n, np.arange(n - 1), np.arange(1, n), np.ones(n - 1))
+
+
+@st.composite
+def graphs_to_cap(draw):
+    """Small graphs, often with a hub, whose vertices over the cap are
+    adjacent in chains, tie in degree, or drift over it after one pass."""
+    n = draw(st.integers(2, 24))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = {p for p, k in zip(pairs, keep) if k}
+    if draw(st.booleans()):  # a hub: with a tiny cap it can drift over it
+        edges |= {(0, b) for b in range(1, n)}
+    edges = sorted(edges)
+    if draw(st.booleans()):  # few weights: ties in degree
+        weight = st.sampled_from([1.0, 0.5, 0.25])
+    else:
+        weight = st.floats(0.01, 1.0)
+    weights = draw(st.lists(weight, min_size=len(edges), max_size=len(edges)))
+    g = Graph(n, [a for a, _ in edges], [b for _, b in edges], weights)
+    d_hat = draw(st.sampled_from([1e-4, 1e-3, 0.01, 0.2, 0.5, 1.0, 2.0, 4.0]))
+    return g, d_hat, draw(st.sampled_from([2.0, 1.0, 0.5]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_to_cap())
+@example((path_graph(12), 0.5, 2.0))   # a chain of ties: each waits for the last
+@example((complete(9), 1.0, 2.0))      # every vertex over the cap and adjacent
+@example((star(100), 0.01, 2.0))       # drifts over the cap: a second pass
+def test_cap_layers_match_the_per_vertex_loop(case):
+    _assert_capped_like_the_loop(*case)
+
+
+def test_cap_layers_cover_chains_ties_and_drift():
+    # the examples above do what their comments say
+    report = _assert_capped_like_the_loop(path_graph(12), 0.5)
+    assert report.touched.tolist() == list(range(1, 11)) and report.passes == 1
+    assert _assert_capped_like_the_loop(star(100), 0.01).passes == 2
+    g, _ = sample(ER(8.0 / 300), 300, 5)
+    assert _assert_capped_like_the_loop(g, 2.0).passes == 1
+    # no vertex over the cap: no pass
+    assert _assert_capped_like_the_loop(g, 100.0).passes == 0
 
 
 # ---------------------------------------------------------------------------

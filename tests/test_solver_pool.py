@@ -476,6 +476,40 @@ def test_forked_child_forks_workers_of_its_own(fresh_grids, submitted):
     assert submitted.count("_fork") == 1
 
 
+_CHILD_EXITS = """
+import os, sys
+from specgraph import experiments
+from specgraph.experiments import phase_sweep
+
+def small(threads):
+    return phase_sweep(10.0, (4.0,), n=300, R=2, seed=1, threads=threads).to_csv()
+
+forks = []
+fork = experiments._RunningGrids._fork
+experiments._RunningGrids._fork = lambda self, size: forks.append(size) or fork(self, size)
+serial = small(1)
+assert small(2) == serial
+workers = list(experiments._running_grids._workers)
+pid = os.fork()
+if pid == 0:
+    sys.exit(0)  # the interpreter's normal exit, atexit handlers included
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]),
+      all(proc.is_alive() for proc, _ in workers), small(2) == serial,
+      experiments._running_grids._workers == workers, len(forks))
+"""
+
+
+def test_forked_child_that_exits_normally_leaves_the_workers():
+    # multiprocessing's exit handler in a bare os.fork() child ends every
+    # daemonic child it lists; the parent's workers are not on its list, so
+    # the parent's next pooled grid runs on them
+    proc = subprocess.run([sys.executable, "-c", _CHILD_EXITS], capture_output=True,
+                          env=_cli_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().split() == ["0", "True", "True", "True", "1"]
+    assert proc.stderr == b""
+
+
 def _grids_in_daemonic_child(conn, serial):
     outcomes = []
     for threads in (2, 2, 1):
