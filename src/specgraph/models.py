@@ -271,16 +271,14 @@ def read_labels(path):
                 return a[:, 0]
         except ValueError:
             pass
-    try:
-        return np.fromiter(map(int, labels), dtype=np.int64)
-    except (ValueError, OverflowError):
-        pass
-    for number, ln in enumerate(lines, 1):  # find the first line that is no int64
-        try:
-            np.int64(int(ln))
-        except (ValueError, OverflowError):
-            if ln.strip():
+    out = []
+    for number, ln in enumerate(lines, 1):
+        if ln.strip():
+            try:
+                out.append(np.int64(int(ln)))
+            except (ValueError, OverflowError):  # no int, or past int64
                 raise ValueError(f"malformed label line {number}: {ln!r}") from None
+    return np.array(out, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

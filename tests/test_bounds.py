@@ -88,6 +88,10 @@ def test_seginer_centered_empty_p0():
     assert seginer_stat(g, E) == 0.0
 
 
+def test_seginer_of_no_nodes_is_zero():
+    assert seginer_stat(Graph(0, [], [], [])) == 0.0
+
+
 def test_seginer_centered_matches_dense():
     g, labels = sample(ER(0.4), 25, 9)
     E = expected_matrix(ER(0.4), labels)

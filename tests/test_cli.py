@@ -429,6 +429,19 @@ def test_sweep_knobs_rejected_before_any_replicate(capsys, monkeypatch):
     assert calls == []
 
 
+def test_sweep_grid_flags_skip_empty_entries(capsys, monkeypatch):
+    # "5:0.1,,6:1" is the grid "5:0.1,6:1", as "10,,20" is "10,20"
+    configs = []
+    monkeypatch.setattr(experiments, "measure_concentration",
+                        lambda config, threads: configs.append(config) or
+                        experiments.ExperimentResult([]))
+    code, _, err = run(capsys, "sweep", "--model", "pp", "--n-grid", "10,,20",
+                       "--ab-grid", "5:0.1,,6:1", "--R", "1")
+    assert code == 0, err
+    assert configs[0].n_grid == (10, 20)
+    assert configs[0].ab_grid == ((5.0, 0.1), (6.0, 1.0))
+
+
 def test_sweep_bad_grid(capsys):
     code, _, err = run(capsys, "sweep", "--n-grid", "100", "--d-grid", "")
     assert code == 2

@@ -294,6 +294,28 @@ def test_kmeans_shares_trajectories_at_every_step_cap(monkeypatch):
     assert len(near_cap) >= 3
 
 
+@pytest.mark.parametrize("cap", [4, 5, 6, 7, 8, 9, detect._LLOYD_STEPS])
+def test_kmeans_computes_no_lloyd_step_twice(monkeypatch, cap):
+    # the restarts share one memo of the step, so within a call no centres
+    # are ever handed to kmeans2 twice, at any step cap
+    import scipy.cluster.vq
+
+    X = _cli_embedding(600, 1)
+    monkeypatch.setattr(detect, "_LLOYD_STEPS", cap)
+    labels, _, _ = _kmeans_all_steps(X, 2, 1)
+    real, inputs = scipy.cluster.vq.kmeans2, []
+
+    def spy(data, k, **kw):
+        if kw["minit"] == "matrix":
+            inputs.append(np.asarray(k).tobytes())
+        return real(data, k, **kw)
+
+    monkeypatch.setattr(scipy.cluster.vq, "kmeans2", spy)
+    assert np.array_equal(kmeans(X, 2, seed=1), labels)
+    assert inputs
+    assert len(set(inputs)) == len(inputs)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_kmeans_rejects_nonfinite_rows(bad):
     X = np.random.default_rng(0).standard_normal((10, 2))

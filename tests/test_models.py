@@ -467,6 +467,9 @@ def test_ierm_validation():
     for x in (math.nan, math.inf):
         with pytest.raises(ValueError, match="entries of P"):
             IERM(((0.0, x), (x, 0.0)))
+    for P in ((), ((0.0, 0.5),), (0.0, 0.0)):  # empty, 1 x 2, flat
+        with pytest.raises(ValueError, match="^P must be a nonempty square matrix$"):
+            IERM(P)
 
 
 def test_lsm_validation():
@@ -474,6 +477,9 @@ def test_lsm_validation():
         LSM(((0.0, 0.0),), kernel="nope")
     with pytest.raises(ValueError, match="finite"):
         LSM(((0.0, 0.0), (float("nan"), 1.0)))
+    for X in ((), (0.0, 1.0), (((0.0,),),)):  # no rows, a flat list, 3-d
+        with pytest.raises(ValueError, match="^positions must be an n x dim array$"):
+            LSM(X)
 
 
 def test_graph_validation():

@@ -163,6 +163,15 @@ def test_folded_difference_of_two_sparse_laplacians():
                            dense_plain(g1) - dense_plain(g2))
 
 
+def test_folded_difference_of_two_adjacencies():
+    # the second term is an unscaled sparse term with sign -1
+    g1, _ = sample(ER(0.08), FOLD_N, 1)
+    g2, _ = sample(PlantedPartition(6.0, 1.0), FOLD_N, 2)
+    op = SymmetricOperator.from_graph(g1) - SymmetricOperator.from_graph(g2)
+    _assert_matvec_matches(op, op.to_dense())
+    _assert_matvec_matches(op, g1.adjacency().toarray() - g2.adjacency().toarray())
+
+
 @pytest.mark.parametrize("tau", [0.0, 1.5])
 def test_folded_tau_regularize(tau):
     g, _ = sample(ER(0.1), FOLD_N, 4)
