@@ -413,8 +413,10 @@ def _offload(body, point, sample_seed, solver_seed):
             "stopped, and the next grid starts new workers") from exc
     if ok:
         return value
-    exc, trace = value
-    raise exc from _RemoteTraceback(trace)
+    try:
+        raise value[0] from _RemoteTraceback(value[1])
+    finally:
+        del value  # this frame is in the traceback: no cycle (_run_grid)
 
 
 def _run_grid(points, R, seed, replicate_fn, threads=None):
@@ -471,7 +473,14 @@ def _run_grid(points, R, seed, replicate_fn, threads=None):
                 if job.is_alive():
                     job.join()
     if failures:
-        raise failures[min(failures)]
+        # the frames in a failure's traceback reach failures: emptied, it
+        # leaves no reference cycle to keep the job threads for the garbage
+        # collector, whose weakref callbacks in the main thread would
+        # swallow a pending KeyboardInterrupt
+        try:
+            raise failures[min(failures)]
+        finally:
+            failures.clear()
     return out[0], out[1]
 
 

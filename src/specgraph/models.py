@@ -102,7 +102,7 @@ class Graph:
     i*n + j, which makes equality, serialization and regularization
     deterministic, and a duplicate pair is rejected; n is at most _MAX_N, so
     the key fits in an int64.  incidence() is the one symmetric layout;
-    adjacency() and degree capping both read it.
+    adjacency() and the CSR of a capped graph (_reweighted) read it.
     """
 
     def __init__(self, n, i, j, w):
@@ -160,14 +160,14 @@ class Graph:
                           shape=(self.n, self.n))
         return A.indptr, A.indices, A.data
 
-    def _reweighted(self, w, layout):
-        """This graph with weights w, sharing its checked edges and the
-        incidence() layout already built from them: nothing is sorted, scanned
-        or laid out again, and the adjacency is w's gather through the layout.
+    def _reweighted(self, w):
+        """This graph with weights w, sharing its checked edges, which are
+        not checked or sorted again; the adjacency is w's gather through one
+        incidence() layout.
         """
         out = object.__new__(Graph)
         out.n, out.i, out.j, out.w = self.n, self.i, self.j, w
-        indptr, neighbors, ids = layout
+        indptr, neighbors, ids = self.incidence()
         out._csr = sp.csr_matrix((w[ids], neighbors, indptr), shape=(self.n, self.n))
         return out
 

@@ -58,12 +58,11 @@ def degree_regularize(graph, d_hat, cap_multiplier=2.0):
     never raises any degree, so one pass suffices in exact arithmetic; the
     loop repeats until clean to absorb floating-point drift.  Edges not
     incident to a touched vertex are returned unchanged; the output keeps
-    the input's edge order and reuses the layout built here for its
-    adjacency.
+    the input's edges.
 
-    A pass is array operations with the arithmetic of the per-vertex loop,
-    in its order (_turns), so every weight, factor and over-cap degree is
-    that loop's bit for bit.
+    A pass takes each edge with an end over the cap once, with the arithmetic
+    of the per-vertex loop in its order (_turns), so every weight, factor and
+    over-cap degree is that loop's bit for bit.
     """
     _validate.real("d_hat", d_hat)
     _validate.real("cap_multiplier", cap_multiplier)
@@ -74,44 +73,16 @@ def degree_regularize(graph, d_hat, cap_multiplier=2.0):
     deg = graph.degrees()
     pre_max = float(deg.max()) if n else 0.0
     factors = np.ones(n)
-    layout = graph.incidence()
-    bounds, neighbors, by_vertex = layout
     slack = 1.0 + 1e-12
     passes = 0
     while passes < n:
-        viol = np.flatnonzero(deg > cap * slack)
-        if len(viol) == 0:
+        over = deg > cap * slack
+        if not over.any():
             break
         passes += 1
-        viol = viol[np.argsort(-deg[viol], kind="stable")]
-        rank = np.full(n, len(viol))
-        rank[viol] = np.arange(len(viol))
-        # every incident edge of the over-cap vertices, by rank of its owner
-        pos, owner = _spans(bounds, viol)
-        nb, es = neighbors[pos], by_vertex[pos]
-        other = rank[nb]
-        f, turn = _turns(deg[viol], owner, other, w[es], cap, cap * slack)
+        viol, f = _pass(graph, w, deg, over, cap, cap * slack)
         factors[viol] *= f
-        scaled = f[owner] != 1.0
-        owner, other, nb, es = owner[scaled], other[scaled], nb[scaled], es[scaled]
-        f = np.append(f, 1.0)  # the factor of rank len(viol): not over the cap
-        # each edge's weight when its owner's turn comes, and the change made
-        now = w[es] * np.where(other < owner, f[other], 1.0)
-        delta = now * (f[owner] - 1.0)
-        last = (other < owner) | (f[other] == 1.0)  # no later turn scales e
-        w[es[last]] = (now * f[owner])[last]
-        # an over-cap degree from its turn on: its own changes through i (to
-        # higher-numbered neighbours), then through j, then those of later
-        # scaled neighbours in rank order.  Any other degree only falls, the
-        # weights being positive, so it stays within the cap: it is left as
-        # it was
-        up = nb > viol[owner]
-        np.add.at(turn, owner[up], delta[up])
-        np.add.at(turn, owner[~up], delta[~up])
-        back = other < owner
-        np.add.at(turn, other[back], delta[back])
-        deg[viol] = turn
-    out = graph._reweighted(w, layout)
+    out = graph._reweighted(w)
     post = out.degrees()
     touched = np.flatnonzero(factors < 1.0)
     budget = math.ceil(10.0 * n / d_hat)
@@ -127,41 +98,67 @@ def degree_regularize(graph, d_hat, cap_multiplier=2.0):
     return out, report
 
 
-def _spans(ptr, rows):
-    """The indices ptr[r]:ptr[r+1] of each r in rows, concatenated in rows'
-    order, and for each index the position in rows it came from."""
-    lens = ptr[rows + 1] - ptr[rows]
-    owner = np.repeat(np.arange(len(rows)), lens)
-    return np.arange(len(owner)) + (ptr[rows] - np.cumsum(lens) + lens)[owner], owner
+def _pass(graph, w, deg, over, cap, limit):
+    """One pass over the vertices over the cap: updates the weights w and
+    their degrees in deg in place, and returns them by rank with their
+    factors.  Each edge changes at the turns of its ends, the lower rank lo
+    first.  Every other degree is left as it was: it only falls, the weights
+    being positive, so it stays within the cap."""
+    viol = np.flatnonzero(over)
+    viol = viol[np.argsort(-deg[viol], kind="stable")]
+    rank = np.full(graph.n, len(viol))
+    rank[viol] = np.arange(len(viol))
+    # each edge with an end over the cap, once, and the ranks of its ends:
+    # len(viol) for an end not over the cap, which has no turn
+    es = np.flatnonzero(over[graph.i] | over[graph.j])
+    ri, rj = rank[graph.i[es]], rank[graph.j[es]]
+    lo, hi = np.minimum(ri, rj), np.maximum(ri, rj)
+    both = hi < len(viol)
+    x = w[es]
+    f, turn = _turns(deg[viol], lo[both], hi[both], x[both], cap, limit)
+    scale = np.append(f, 1.0)  # and 1.0, no change bit for bit, under the cap
+    # the edge's change at lo's turn, its weight then, its change at hi's
+    at_lo = x * (scale[lo] - 1.0)
+    x = x * scale[lo]
+    at_hi = x * (scale[hi] - 1.0)
+    w[es] = x * scale[hi]
+    # an over-cap degree from its turn on: its own changes as i (ascending
+    # j), then as j (ascending i), then those of later neighbours in rank
+    # order; the spare last slot takes the changes of the other ends
+    turn = np.append(turn, 0.0)
+    np.add.at(turn, ri, np.where(ri < rj, at_lo, at_hi))
+    np.add.at(turn, rj, np.where(rj < ri, at_lo, at_hi))
+    later = np.argsort(hi[both], kind="stable")
+    np.add.at(turn, lo[both][later], at_hi[both][later])
+    deg[viol] = turn[:-1]
+    return viol, f
 
 
-def _turns(now, owner, other, weight, cap, limit):
+def _turns(now, lo, hi, weight, cap, limit):
     """The factor of each over-cap vertex of one pass, by rank, and its
     degree at its turn: cap/degree, or 1.0 where that degree is at most
     limit.
 
-    now holds the degrees at the start of the pass, by rank; each incident
-    edge of these vertices is (owner, other, weight): the ranks of its two
-    ends, len(now) for an end not over the cap, and its weight.  A vertex's
-    degree at its turn is now plus, in rank order, weight * (f - 1) from
-    each earlier scaled neighbour.  So every vertex with no earlier over-cap
-    neighbour, most of them on a sparse graph, takes its turn at once; the
-    others take theirs in rank order over just those edges, in Python
-    floats, whose arithmetic is numpy's float64 arithmetic.
+    now holds the degrees at the start of the pass, by rank; each edge
+    between two of these vertices is (lo, hi, weight): the ranks of its two
+    ends and its weight.  A vertex's degree at its turn is now plus, in rank
+    order, weight * (f - 1) from each earlier neighbour; a factor of 1.0
+    adds +0.0, which leaves a positive degree as it was.  So every vertex
+    with no earlier over-cap neighbour, most of them on a sparse graph,
+    takes its turn at once; the others take theirs in rank order over just
+    those edges, in Python floats, whose arithmetic is numpy's float64
+    arithmetic.
     """
-    into = other < owner  # an earlier over-cap neighbour: owner waits for it
-    after, before, weight = owner[into], other[into], weight[into]
-    order = np.lexsort((before, after))
-    after, before, weight = after[order], before[order], weight[order]
-    waiting, first = np.unique(after, return_index=True)
-    ends = np.append(first[1:], len(after)).tolist()
+    order = np.lexsort((lo, hi))
+    lo, hi, weight = lo[order], hi[order], weight[order]
+    waiting, first = np.unique(hi, return_index=True)
+    ends = np.append(first[1:], len(hi)).tolist()
     f, turn = (cap / now).tolist(), now.tolist()
-    before, weight = before.tolist(), weight.tolist()
-    for v, lo, hi in zip(waiting.tolist(), first.tolist(), ends):
+    lo, weight = lo.tolist(), weight.tolist()
+    for v, a, b in zip(waiting.tolist(), first.tolist(), ends):
         d = turn[v]
-        for u, x in zip(before[lo:hi], weight[lo:hi]):
-            if f[u] != 1.0:
-                d += x * (f[u] - 1.0)
+        for u, x in zip(lo[a:b], weight[a:b]):
+            d += x * (f[u] - 1.0)
         turn[v] = d
         f[v] = 1.0 if d <= limit else cap / d
     return np.array(f), np.array(turn)

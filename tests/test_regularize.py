@@ -187,7 +187,10 @@ def _degree_regularize_by_vertex(graph, d_hat, cap_multiplier=2.0):
 
 
 def _assert_capped_like_the_loop(g, d_hat, cap_multiplier=2.0):
+    before = [a.tobytes() for a in (g.i, g.j, g.w, g.degrees())]
     out, report = degree_regularize(g, d_hat, cap_multiplier)
+    # capping leaves its input as it was, though the output shares its i and j
+    assert [a.tobytes() for a in (g.i, g.j, g.w, g.degrees())] == before
     w, want = _degree_regularize_by_vertex(g, d_hat, cap_multiplier)
     assert out.w.tobytes() == w.tobytes()
     assert report.touched.tobytes() == want.touched.tobytes()

@@ -9,6 +9,7 @@ which gets back two floats.
 import _thread
 import concurrent.futures.process
 import functools
+import gc
 import hashlib
 import multiprocessing
 import multiprocessing.connection
@@ -18,6 +19,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -570,6 +572,43 @@ def test_interrupt_joins_the_job_threads_and_keeps_the_workers(
             == measure_concentration(cfg, threads=1).to_csv())
     assert fresh_grids._workers == workers and len(workers) == 2
     assert submitted.count("_fork") == 1
+
+
+@pytest.mark.parametrize("failure", [WorkerFailure, KeyboardInterrupt])
+def test_a_failed_grid_holds_its_job_threads_in_no_reference_cycle(
+        monkeypatch, failure):
+    # the job threads go with the grid's exception, not in a later garbage
+    # collection: that runs threading's weakref callbacks in whichever thread
+    # collects, and in the main thread they swallow a pending Ctrl-C
+    made = []
+
+    class Thread(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(weakref.ref(self))
+
+    real = experiments._concentration_replicate
+
+    def replicate(point, sample_seed, solver_seed):
+        if sample_seed[2] == 1:
+            _thread.interrupt_main()
+        return real(point, sample_seed, solver_seed)
+
+    monkeypatch.setattr(threading, "Thread", Thread)
+    monkeypatch.setattr(experiments, "_usable_cores", lambda: 2)
+    if failure is WorkerFailure:  # the workers fork after this patch
+        monkeypatch.setattr(spla, "eigsh", _raise_in_worker)
+    else:
+        monkeypatch.setattr(experiments, "_concentration_replicate", replicate)
+    cfg = ExperimentConfig(model="er", n_grid=(N,), d_grid=(2.0,), R=4, seed=1)
+    gc.disable()
+    try:
+        with pytest.raises(failure):
+            measure_concentration(cfg, threads=2)
+        alive = [ref() for ref in made if ref() is not None]
+    finally:
+        gc.enable()
+    assert len(made) == 2 and not alive
 
 
 def test_pool_size_follows_the_usable_cores(monkeypatch, fresh_grids):
